@@ -2,7 +2,10 @@
 // the hot building blocks of the §4 simulation pipeline — Floyd-Warshall
 // metric repair (serial reference vs blocked/parallel), the triangle
 //-violation scan, allocation-free nearest-neighbour queries, Meridian
-// build/query, and the full clustered experiment serial vs parallel.
+// build/query, the full clustered experiment serial vs parallel, and
+// the probe path: ns/probe for the dense and embedded backends, bare
+// and through the composed ProbeChannel (clean, noise, noise + loss,
+// grey loss).
 //
 // The derived speedup_* metrics are the acceptance numbers for the
 // parallel simulation core: on an N-core box, metric_repair and the
@@ -24,9 +27,12 @@
 #include "bench/reporter.h"
 #include "coord/vivaldi.h"
 #include "core/experiment.h"
+#include "core/probe_channel.h"
 #include "dht/chord.h"
+#include "matrix/embedded_space.h"
 #include "matrix/generators.h"
 #include "matrix/latency_matrix.h"
+#include "matrix/partitioned_space.h"
 #include "measure/path_graph.h"
 #include "meridian/meridian.h"
 #include "net/tools.h"
@@ -365,6 +371,96 @@ void BenchBuildingBlocks(np::bench::Reporter& reporter, bool quick) {
   }
 }
 
+// ns/probe along the probe path, on the hot-loop access pattern every
+// scheme uses: a pivot probed against a batch of candidates, pivot
+// second (Latency(candidate, pivot)). "bare" calls the backend
+// directly; the channel setups go through a ProbeChannel composed the
+// way the engines compose it. Wall-clock numbers: recorded as phases
+// (ops = probes) and derived probe_path_ns_*, never gated.
+void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
+  np::matrix::ClusteredConfig dense_config;
+  dense_config.num_clusters = quick ? 8 : 50;
+  dense_config.nets_per_cluster = 25;
+  np::util::Rng world_rng(16);
+  const auto dense_world =
+      np::matrix::GenerateClustered(dense_config, world_rng);
+  const np::core::MatrixSpace dense(dense_world.matrix);
+  np::matrix::EmbeddedSpaceConfig embedded_config;
+  embedded_config.num_nodes = 10000;
+  embedded_config.distortion = 0.1;
+  embedded_config.seed = 17;
+  const np::matrix::EmbeddedSpace embedded(embedded_config);
+
+  np::matrix::PartitionSchedule grey;
+  grey.grey_node_frac = 0.1;
+  grey.grey_loss_rate = 0.3;
+  grey.grey_seed = 18;
+
+  struct Setup {
+    const char* name;
+    double noise;
+    double loss;
+    const np::matrix::PartitionSchedule* partition;
+  };
+  const Setup setups[] = {{"clean", 0.0, 0.0, nullptr},
+                          {"noise", 0.1, 0.0, nullptr},
+                          {"noise_loss", 0.1, 0.05, nullptr},
+                          {"grey", 0.0, 0.0, &grey}};
+  const int pivots = quick ? 200 : 2000;
+  const NodeId candidates = 400;
+  const double probes = static_cast<double>(pivots) * candidates;
+
+  const auto sweep = [&](const np::core::LatencySpace& space) {
+    // Pivots and candidates spread over the whole space.
+    const NodeId n = space.size();
+    double sink = 0.0;
+    for (int p = 0; p < pivots; ++p) {
+      const auto pivot = static_cast<NodeId>(
+          (static_cast<std::int64_t>(p) * 7919) % n);
+      for (NodeId c = 0; c < candidates; ++c) {
+        const auto candidate = static_cast<NodeId>(
+            (static_cast<std::int64_t>(c) * 104729 + p) % n);
+        const LatencyMs l = space.Latency(candidate, pivot);
+        sink += l == l ? l : 0.0;  // lost probes are NaN
+      }
+    }
+    return sink;
+  };
+  const auto record = [&](const std::string& tag, double sink) {
+    NP_ENSURE(sink > 0.0, "probe_path sweep measured nothing");
+    reporter.Derive("probe_path_ns_" + tag,
+                    reporter.PhaseMs("probe_path_" + tag) * 1e6 / probes);
+  };
+
+  const std::pair<const char*, const np::core::LatencySpace*> backends[] = {
+      {"dense", &dense}, {"embedded", &embedded}};
+  for (const auto& [backend_name, backend] : backends) {
+    const std::string bare = std::string(backend_name) + "_bare";
+    double sink = 0.0;
+    {
+      auto phase = reporter.Phase("probe_path_" + bare, probes);
+      sink = sweep(*backend);
+    }
+    record(bare, sink);
+    for (const Setup& setup : setups) {
+      np::core::ProbeChannelConfig config;
+      config.noise_frac = setup.noise;
+      config.noise_seed = 19;
+      config.loss_rate = setup.loss;
+      config.fault_seed = 20;
+      config.partition = setup.partition;
+      config.partition_seed = 21;
+      const std::string tag = std::string(backend_name) + "_" + setup.name;
+      const np::core::ProbeChannel channel(*backend, config);
+      {
+        auto phase = reporter.Phase("probe_path_" + tag, probes);
+        sink = sweep(channel.space());
+      }
+      record(tag, sink);
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -373,7 +469,8 @@ int main() {
       "micro_core",
       "raw costs of the simulation core: blocked/parallel Floyd-Warshall "
       "vs serial, triangle scan, allocation-free nearest queries, "
-      "Meridian build/query, clustered experiment serial vs parallel.");
+      "Meridian build/query, clustered experiment serial vs parallel, "
+      "ns/probe along the probe path.");
   const bool quick = np::bench::QuickScale();
 
   np::bench::Reporter reporter("core");
@@ -384,6 +481,7 @@ int main() {
   BenchClusteredExperiment(reporter, quick);
   BenchMeridian(reporter, quick ? 400 : 2400, quick ? 200 : 1000);
   BenchBuildingBlocks(reporter, quick);
+  BenchProbePath(reporter, quick);
 
   reporter.Derive("total_wall_ms", total.ElapsedMs());
   reporter.Derive("query_loop_threads",

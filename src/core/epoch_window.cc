@@ -79,6 +79,19 @@ matrix::PartitionSchedule BuildPartitionSchedule(
   return sched;
 }
 
+bool CrashesPossible(const ChurnSchedule& schedule,
+                     const ScenarioConfig& config) {
+  if (!config.blackouts.empty()) {
+    return true;
+  }
+  for (const ChurnEvent& event : schedule.events()) {
+    if (event.type == ChurnEventType::kCrash) {
+      return true;
+    }
+  }
+  return false;
+}
+
 ChurnWindowRunner::ChurnWindowRunner(
     NearestPeerAlgorithm& algo, ChurnDriver& driver,
     const ChurnSchedule& schedule, const matrix::ClusterLayout* layout,

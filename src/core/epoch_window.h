@@ -45,6 +45,11 @@ matrix::PartitionSchedule BuildPartitionSchedule(
     const FaultConfig& fault, const matrix::ClusterLayout* layout,
     NodeId space_size, std::uint64_t fault_root);
 
+/// True when a peer can crash during the run: the schedule has crash
+/// events or the scenario has blackouts.
+bool CrashesPossible(const ChurnSchedule& schedule,
+                     const ScenarioConfig& config);
+
 /// Detaches the algorithm's probe counter on every exit path — the
 /// counter is a stack local in the engines, and leaving it attached
 /// past a thrown NP_ENSURE would hand the caller an algorithm holding

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 
-#include "matrix/faulty_space.h"
 #include "util/error.h"
 #include "util/stats.h"
 
@@ -55,29 +53,60 @@ std::size_t ZipfIndex(const std::vector<double>& cdf, double u) {
   return std::min(idx, cdf.size() - 1);
 }
 
+ProbeChannelConfig ScenarioChannelLayers(
+    const ScenarioConfig& config, const matrix::PartitionSchedule& schedule) {
+  ProbeChannelConfig layers;
+  layers.noise_frac = config.measurement_noise_frac;
+  layers.noise_floor_ms = config.measurement_noise_floor_ms;
+  layers.partition = &schedule;
+  layers.loss_rate = config.fault.loss_rate;
+  return layers;
+}
+
+ProbeChannelConfig MaintenanceChannel(const ProbeChannelConfig& layers,
+                                      std::uint64_t noise_seed,
+                                      std::uint64_t fault_root,
+                                      bool crashes_possible,
+                                      PerNodeLedger* ledger) {
+  ProbeChannelConfig config = layers;
+  config.noise_seed = noise_seed;
+  config.partition_seed = util::Mix64(fault_root ^ 0x6);
+  config.fault_seed = util::Mix64(fault_root ^ 0x1);
+  config.crashes_possible = crashes_possible;
+  config.ledger = ledger;
+  return config;
+}
+
+void SetBatchEpoch(QueryBatch& batch, const ProbeChannelConfig& layers,
+                   const QueryRoots& roots, int epoch,
+                   const std::unordered_set<NodeId>& crashed,
+                   PerNodeLedger* ledger) {
+  const auto e = static_cast<std::uint64_t>(epoch);
+  batch.query_base = util::Mix64(roots.query ^ e);
+  batch.channel = layers;
+  batch.channel.noise_seed = util::Mix64(roots.noise ^ e);
+  batch.channel.partition_seed = util::Mix64(roots.partition ^ e);
+  batch.channel.fault_seed = util::Mix64(roots.fault ^ e);
+  batch.channel.epoch = epoch;
+  batch.channel.crashed = &crashed;
+  batch.channel.crashes_possible = !crashed.empty();
+  batch.channel.ledger = ledger;
+  batch.active_window =
+      layers.partition != nullptr ? layers.partition->WindowFor(epoch)
+                                  : nullptr;
+}
+
 QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
                            std::size_t q) {
   const std::vector<NodeId>& pool = *batch.pool;
-  util::Rng qrng(batch.query_base ^ static_cast<std::uint64_t>(q));
-  const NoisySpace noisy(*batch.space, batch.noise_frac,
-                         batch.noise_base ^ static_cast<std::uint64_t>(q),
-                         batch.noise_floor_ms);
-  // Correlated faults slot in between noise and i.i.d. loss; the
-  // decorator is query-private (grey loss is stateful) and pinned at
-  // the batch's epoch. Absent a schedule the stack is byte-identical
-  // to the pre-partition build.
-  std::optional<matrix::PartitionedSpace> partitioned;
-  const LatencySpace* upstream = &noisy;
-  if (batch.partition != nullptr && batch.partition->Any()) {
-    partitioned.emplace(noisy, *batch.partition,
-                        batch.partition_base ^ static_cast<std::uint64_t>(q));
-    partitioned->set_epoch(batch.epoch);
-    upstream = &*partitioned;
-  }
-  const matrix::FaultySpace faulty(
-      *upstream, batch.loss_rate,
-      batch.fault_base ^ static_cast<std::uint64_t>(q), batch.crashed);
-  const MeteredSpace metered(faulty, batch.ledger);
+  const auto qi = static_cast<std::uint64_t>(q);
+  util::Rng qrng(batch.query_base ^ qi);
+  ProbeChannelConfig channel_config = batch.channel;
+  channel_config.noise_seed ^= qi;
+  channel_config.partition_seed ^= qi;
+  channel_config.fault_seed ^= qi;
+  const ProbeChannel channel(*batch.space, channel_config);
+  const MeteredSpace& metered = channel.space();
   // The uniform path must keep the exact pre-fault draw (Index, not
   // NextDouble) for byte-identity at zipf 0.
   const bool uniform = batch.zipf_cdf == nullptr || batch.zipf_cdf->empty();

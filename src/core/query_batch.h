@@ -19,6 +19,7 @@
 
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
+#include "core/probe_channel.h"
 #include "core/probe_counter.h"
 #include "core/scenario.h"
 #include "matrix/generators.h"
@@ -66,32 +67,54 @@ struct QueryBatch {
   const std::vector<NodeId>* members = nullptr;
   /// Query-target pool.
   const std::vector<NodeId>* pool = nullptr;
-  /// Nullable: dead peers whose probes always fail.
-  const std::unordered_set<NodeId>* crashed = nullptr;
   /// Nullable/empty: uniform target draw (the exact pre-fault path).
   const std::vector<double>* zipf_cdf = nullptr;
-  /// Nullable: per-node load attribution (deterministic mode only).
-  PerNodeLedger* ledger = nullptr;
-  double noise_frac = 0.0;
-  double noise_floor_ms = 0.0;
-  double loss_rate = 0.0;
   LatencyMs tie_epsilon_ms = 0.0;
   /// When false, a query returning no peer is a hard error.
   bool fault_mode = false;
-  /// Nullable: correlated-fault plan. When set (and Any()), each query
-  /// wraps its space stack in a private PartitionedSpace seeded
-  /// partition_base ^ q, pinned at `epoch`.
-  const matrix::PartitionSchedule* partition = nullptr;
+  /// Layers and per-epoch seeds of every query's probe channel. Query
+  /// q xors its index into each seed and probes through a private
+  /// channel (the noise, loss and grey-loss layers are stateful).
+  ProbeChannelConfig channel;
   /// Nullable: the partition window active this epoch (drives the
   /// nearest-reachable scoring); nullptr when the population is whole.
   const matrix::PartitionWindow* active_window = nullptr;
-  int epoch = 0;
-  /// Per-epoch stream bases; query q xors its index in.
+  /// Per-epoch query stream base; query q xors its index in.
   std::uint64_t query_base = 0;
-  std::uint64_t noise_base = 0;
-  std::uint64_t fault_base = 0;
-  std::uint64_t partition_base = 0;
 };
+
+/// Per-run roots of the per-epoch query streams (see SetBatchEpoch).
+struct QueryRoots {
+  std::uint64_t query = 0;
+  std::uint64_t noise = 0;
+  std::uint64_t fault = 0;
+  std::uint64_t partition = 0;
+};
+
+/// The probe-channel layers a scenario configures — noise, correlated
+/// faults, i.i.d. loss — with no seeds, crashed set or ledger yet.
+/// `schedule` is borrowed.
+ProbeChannelConfig ScenarioChannelLayers(
+    const ScenarioConfig& config, const matrix::PartitionSchedule& schedule);
+
+/// The maintenance channel of a run: `layers` seeded from the run's
+/// noise seed and fault root, composing the loss layer when a peer can
+/// crash.
+ProbeChannelConfig MaintenanceChannel(const ProbeChannelConfig& layers,
+                                      std::uint64_t noise_seed,
+                                      std::uint64_t fault_root,
+                                      bool crashes_possible,
+                                      PerNodeLedger* ledger);
+
+/// Points `batch` at epoch `epoch`: the query stream base, the probe
+/// channel (`layers` plus per-epoch seeds mixed from `roots`, the
+/// borrowed `crashed` set and `ledger`) and the partition window that
+/// scores it. Both engines derive their batches here, which keeps their
+/// queries bit-identical.
+void SetBatchEpoch(QueryBatch& batch, const ProbeChannelConfig& layers,
+                   const QueryRoots& roots, int epoch,
+                   const std::unordered_set<NodeId>& crashed,
+                   PerNodeLedger* ledger);
 
 /// Runs query `q` of the batch against `algo` (charging its attached
 /// probe counter/policy) and returns the scored outcome. Thread-safe

@@ -7,9 +7,9 @@
 
 #include "core/epoch_window.h"
 #include "core/experiment.h"
+#include "core/probe_channel.h"
 #include "core/probe_policy.h"
 #include "core/query_batch.h"
-#include "matrix/faulty_space.h"
 #include "matrix/partitioned_space.h"
 #include "util/contract.h"
 #include "util/error.h"
@@ -42,26 +42,26 @@ ScenarioReport RunScenario(const LatencySpace& space,
   const std::uint64_t fault_root = util::Mix64(config.seed ^ 0xFA177ULL);
 
   // Every maintenance-time measurement (build, joins, leaves, crash
-  // repairs, epoch rebuilds) flows through this metered, faulty, noisy
-  // view; the engine reads probe deltas off it to charge the ledger.
-  // Maintenance is applied serially, so the single meter is race-free;
-  // query probes go through per-query meters instead.
-  const NoisySpace maint_noisy(space, config.measurement_noise_frac, rng(),
-                               config.measurement_noise_floor_ms);
-  // Correlated faults (partitions / grey nodes / one-way links) sit
-  // between noise and i.i.d. loss. An empty schedule forwards verbatim,
-  // so pre-partition runs stay byte-identical.
+  // repairs, epoch rebuilds) flows through this one channel; the engine
+  // reads probe deltas off its meter to charge the ledger. Maintenance
+  // is applied serially, so the single meter is race-free; query probes
+  // go through per-query channels instead. Correlated faults
+  // (partitions / grey nodes / one-way links) sit between noise and
+  // i.i.d. loss; layers the config leaves off are not composed.
+  const std::uint64_t noise_seed = rng();
   const matrix::PartitionSchedule partition_schedule = BuildPartitionSchedule(
       config.fault, layout, space.size(), fault_root);
-  matrix::PartitionedSpace maint_part(maint_noisy, partition_schedule,
-                                      util::Mix64(fault_root ^ 0x6));
-  matrix::FaultySpace maint_faulty(maint_part, config.fault.loss_rate,
-                                   util::Mix64(fault_root ^ 0x1));
+  const ProbeChannelConfig layers =
+      ScenarioChannelLayers(config, partition_schedule);
+  const bool crashes_possible = CrashesPossible(schedule, config);
   const bool track_load = config.fault.track_load;
   PerNodeLedger ledger(track_load ? static_cast<std::size_t>(space.size())
                                   : 0);
   PerNodeLedger* const ledger_ptr = track_load ? &ledger : nullptr;
-  const MeteredSpace maint(maint_faulty, ledger_ptr);
+  ProbeChannel maint_channel(
+      space, MaintenanceChannel(layers, noise_seed, fault_root,
+                                crashes_possible, ledger_ptr));
+  const MeteredSpace& maint = maint_channel.space();
 
   ProbeCounter counter;
   const ScopedProbeCounter attach(algo, counter);
@@ -78,14 +78,9 @@ ScenarioReport RunScenario(const LatencySpace& space,
 
   // Builds (and epoch rebuilds below) run through ParallelBuild:
   // bit-identical to the serial Build by contract, so the report is
-  // unchanged — only the wall clock moves. Noisy or lossy maintenance
-  // views are stateful (per-pair counters), so they clamp to one
-  // thread.
-  const bool noisy_maintenance = config.measurement_noise_frac > 0.0 ||
-                                 config.measurement_noise_floor_ms > 0.0 ||
-                                 config.fault.loss_rate > 0.0 ||
-                                 partition_schedule.GreyActive();
-  const int build_threads = noisy_maintenance ? 1 : config.num_threads;
+  // unchanged — only the wall clock moves — unless a stateful layer
+  // clamps it to one thread.
+  const int build_threads = maint_channel.BuildThreads(config.num_threads);
   algo.ParallelBuild(maint, split.members, rng, build_threads);
   report.build_messages = maint.probes();
   counter.AddBuildProbes(report.build_messages);
@@ -99,25 +94,20 @@ ScenarioReport RunScenario(const LatencySpace& space,
   ChurnDriver driver(incremental ? &algo : nullptr, split.members,
                      split.targets, rng());
   // The crashed set is driver-owned and only grows during the serial
-  // churn/blackout phases, so pointing the (already-built-over) faulty
-  // views at it is race-free.
-  maint_faulty.set_crashed(&driver.crashed());
-  const std::uint64_t noise_root = rng();
-  const std::uint64_t query_root = rng();
+  // churn/blackout phases, so pointing the (already-built-over) loss
+  // layer at it is race-free.
+  maint_channel.set_crashed(&driver.crashed());
+  QueryRoots roots;
+  roots.noise = rng();
+  roots.query = rng();
   const std::uint64_t rebuild_root = rng();
-  const std::uint64_t query_fault_root = util::Mix64(fault_root ^ 0x2);
+  roots.fault = util::Mix64(fault_root ^ 0x2);
+  roots.partition = util::Mix64(fault_root ^ 0x7);
 
-  bool has_crash_events = !config.blackouts.empty();
-  for (const ChurnEvent& event : schedule.events()) {
-    if (event.type == ChurnEventType::kCrash) {
-      has_crash_events = true;
-      break;
-    }
-  }
   report.partition_mode = partition_schedule.Any();
   report.suspicion_mode = suspicion_mode;
   report.fault_mode = config.fault.loss_rate > 0.0 ||
-                      config.fault.max_attempts > 1 || has_crash_events ||
+                      config.fault.max_attempts > 1 || crashes_possible ||
                       report.partition_mode || suspicion_mode;
   report.load_tracking = track_load;
 
@@ -126,7 +116,7 @@ ScenarioReport RunScenario(const LatencySpace& space,
                                 : 1;
 
   WindowFaultHooks hooks;
-  hooks.partition = report.partition_mode ? &maint_part : nullptr;
+  hooks.partition = maint_channel.partition();
   hooks.suspicion = suspicion_mode ? &suspicion : nullptr;
   hooks.policy = &policy;
   hooks.rejoin_root = util::Mix64(fault_root ^ 0x3);
@@ -139,7 +129,6 @@ ScenarioReport RunScenario(const LatencySpace& space,
   std::uint64_t charged_retries = 0;
   std::uint64_t charged_skips = 0;
   std::uint64_t charged_probation = 0;
-  const std::uint64_t partition_root = util::Mix64(fault_root ^ 0x7);
   std::vector<std::uint64_t> ledger_prev;
   if (track_load) {
     ledger_prev = ledger.Counts();
@@ -166,27 +155,10 @@ ScenarioReport RunScenario(const LatencySpace& space,
     batch.layout = layout;
     batch.members = &members;
     batch.pool = &pool;
-    batch.crashed = &driver.crashed();
     batch.zipf_cdf = &zipf_cdf;
-    batch.ledger = ledger_ptr;
-    batch.noise_frac = config.measurement_noise_frac;
-    batch.noise_floor_ms = config.measurement_noise_floor_ms;
-    batch.loss_rate = config.fault.loss_rate;
     batch.tie_epsilon_ms = config.tie_epsilon_ms;
     batch.fault_mode = report.fault_mode;
-    if (report.partition_mode) {
-      batch.partition = &partition_schedule;
-      batch.active_window = partition_schedule.WindowFor(epoch);
-      batch.epoch = epoch;
-      batch.partition_base =
-          util::Mix64(partition_root ^ static_cast<std::uint64_t>(epoch));
-    }
-    batch.query_base =
-        util::Mix64(query_root ^ static_cast<std::uint64_t>(epoch));
-    batch.noise_base =
-        util::Mix64(noise_root ^ static_cast<std::uint64_t>(epoch));
-    batch.fault_base =
-        util::Mix64(query_fault_root ^ static_cast<std::uint64_t>(epoch));
+    SetBatchEpoch(batch, layers, roots, epoch, driver.crashed(), ledger_ptr);
 
     std::vector<QueryOutcome> outcomes(
         static_cast<std::size_t>(config.queries_per_epoch));

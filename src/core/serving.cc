@@ -14,9 +14,9 @@
 #include "core/epoch_window.h"
 #include "core/experiment.h"
 #include "core/overlay_snapshot.h"
+#include "core/probe_channel.h"
 #include "core/probe_policy.h"
 #include "core/query_batch.h"
-#include "matrix/faulty_space.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -94,15 +94,16 @@ ServingReport RunServing(const LatencySpace& space,
 
   const std::uint64_t fault_root = util::Mix64(sc.seed ^ 0xFA177ULL);
 
-  const NoisySpace maint_noisy(space, sc.measurement_noise_frac, rng(),
-                               sc.measurement_noise_floor_ms);
+  const std::uint64_t noise_seed = rng();
   const matrix::PartitionSchedule partition_schedule =
       BuildPartitionSchedule(sc.fault, layout, space.size(), fault_root);
-  matrix::PartitionedSpace maint_part(maint_noisy, partition_schedule,
-                                      util::Mix64(fault_root ^ 0x6));
-  matrix::FaultySpace maint_faulty(maint_part, sc.fault.loss_rate,
-                                   util::Mix64(fault_root ^ 0x1));
-  const MeteredSpace maint(maint_faulty, nullptr);
+  const ProbeChannelConfig layers =
+      ScenarioChannelLayers(sc, partition_schedule);
+  const bool crashes_possible = CrashesPossible(schedule, sc);
+  ProbeChannel maint_channel(
+      space, MaintenanceChannel(layers, noise_seed, fault_root,
+                                crashes_possible, nullptr));
+  const MeteredSpace& maint = maint_channel.space();
 
   ProbeCounter counter;
   const ScopedProbeCounter attach(algo, counter);
@@ -119,11 +120,7 @@ ServingReport RunServing(const LatencySpace& space,
   report.clustered = layout != nullptr;
   report.initial_members = static_cast<NodeId>(split.members.size());
 
-  const bool noisy_maintenance = sc.measurement_noise_frac > 0.0 ||
-                                 sc.measurement_noise_floor_ms > 0.0 ||
-                                 sc.fault.loss_rate > 0.0 ||
-                                 partition_schedule.GreyActive();
-  const int build_threads = noisy_maintenance ? 1 : sc.num_threads;
+  const int build_threads = maint_channel.BuildThreads(sc.num_threads);
   algo.ParallelBuild(maint, split.members, rng, build_threads);
   report.build_messages = maint.probes();
   counter.AddBuildProbes(report.build_messages);
@@ -131,28 +128,23 @@ ServingReport RunServing(const LatencySpace& space,
   const bool incremental = algo.SupportsChurn();
   ChurnDriver driver(incremental ? &algo : nullptr, split.members,
                      split.targets, rng());
-  maint_faulty.set_crashed(&driver.crashed());
-  const std::uint64_t noise_root = rng();
-  const std::uint64_t query_root = rng();
+  maint_channel.set_crashed(&driver.crashed());
+  QueryRoots roots;
+  roots.noise = rng();
+  roots.query = rng();
   const std::uint64_t rebuild_root = rng();
-  const std::uint64_t query_fault_root = util::Mix64(fault_root ^ 0x2);
+  roots.fault = util::Mix64(fault_root ^ 0x2);
+  roots.partition = util::Mix64(fault_root ^ 0x7);
 
-  bool has_crash_events = !sc.blackouts.empty();
-  for (const ChurnEvent& event : schedule.events()) {
-    if (event.type == ChurnEventType::kCrash) {
-      has_crash_events = true;
-      break;
-    }
-  }
   report.partition_mode = partition_schedule.Any();
   report.suspicion_mode = suspicion_mode;
   report.fault_mode = sc.fault.loss_rate > 0.0 || sc.fault.max_attempts > 1 ||
-                      has_crash_events || report.partition_mode ||
+                      crashes_possible || report.partition_mode ||
                       suspicion_mode;
   report.load_tracking = false;
 
   WindowFaultHooks hooks;
-  hooks.partition = report.partition_mode ? &maint_part : nullptr;
+  hooks.partition = maint_channel.partition();
   hooks.suspicion = suspicion_mode ? &suspicion : nullptr;
   hooks.policy = &policy;
   hooks.rejoin_root = util::Mix64(fault_root ^ 0x3);
@@ -160,7 +152,6 @@ ServingReport RunServing(const LatencySpace& space,
                             sc.blackouts, rebuild_root, build_threads,
                             sc.epochs, incremental, report.build_messages,
                             hooks);
-  const std::uint64_t partition_root = util::Mix64(fault_root ^ 0x7);
 
   // --- Writer/reader rendezvous ------------------------------------------
   const int n_readers = config.reader_threads;
@@ -282,27 +273,10 @@ ServingReport RunServing(const LatencySpace& space,
     slot.batch.layout = layout;
     slot.batch.members = &snap->members;
     slot.batch.pool = &snap->pool;
-    slot.batch.crashed = &snap->crashed;
     slot.batch.zipf_cdf = &slot.zipf_cdf;
-    slot.batch.ledger = nullptr;
-    slot.batch.noise_frac = sc.measurement_noise_frac;
-    slot.batch.noise_floor_ms = sc.measurement_noise_floor_ms;
-    slot.batch.loss_rate = sc.fault.loss_rate;
     slot.batch.tie_epsilon_ms = sc.tie_epsilon_ms;
     slot.batch.fault_mode = report.fault_mode;
-    if (report.partition_mode) {
-      slot.batch.partition = &partition_schedule;
-      slot.batch.active_window = partition_schedule.WindowFor(epoch);
-      slot.batch.epoch = epoch;
-      slot.batch.partition_base =
-          util::Mix64(partition_root ^ static_cast<std::uint64_t>(epoch));
-    }
-    slot.batch.query_base =
-        util::Mix64(query_root ^ static_cast<std::uint64_t>(epoch));
-    slot.batch.noise_base =
-        util::Mix64(noise_root ^ static_cast<std::uint64_t>(epoch));
-    slot.batch.fault_base =
-        util::Mix64(query_fault_root ^ static_cast<std::uint64_t>(epoch));
+    SetBatchEpoch(slot.batch, layers, roots, epoch, snap->crashed, nullptr);
 
     if (epoch > 0) {
       // Epoch rendezvous: don't outrun readers by more than one epoch.

@@ -15,11 +15,12 @@
 // Loss determinism mirrors NoisySpace jitter: the k-th probe of the
 // unordered pair {a, b} decides loss from
 // Mix64(Mix64(seed ^ PairKey(a, b)) ^ k), a pure function of
-// (seed, pair, per-pair attempt count). Loss is therefore order-robust
-// (reordering probes across different pairs cannot move a loss) and
-// thread-invariant for per-query instances keyed by query index, while
-// a retry of the same pair advances k and sees fresh randomness — which
-// is exactly what gives ProbePolicy retries a chance to get through.
+// (seed, pair, per-pair attempt count), tracked by util::PairTracker.
+// Loss is therefore order-robust (reordering probes across different
+// pairs cannot move a loss) and thread-invariant for per-query
+// instances keyed by query index, while a retry of the same pair
+// advances k and sees fresh randomness — which is exactly what gives
+// ProbePolicy retries a chance to get through.
 //
 // Thread-safety: with loss_rate > 0 the per-pair attempt tracker
 // mutates under Latency(), so such instances must be call-site private
@@ -33,10 +34,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/latency_space.h"
+#include "util/pair_tracker.h"
 #include "util/types.h"
 
 namespace np::matrix {
@@ -71,17 +72,12 @@ class FaultySpace final : public core::LatencySpace {
   }
 
  private:
-  /// Same bound and generation-flush scheme as NoisySpace: memory stays
-  /// at ~kMaxTrackedPairs entries and order-robustness holds within a
-  /// generation.
-  static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
-
   const core::LatencySpace* inner_;
   double loss_rate_;
-  mutable std::uint64_t stream_seed_;
   const std::unordered_set<NodeId>* crashed_;
-  /// Probes already issued per unordered pair in this generation.
-  mutable std::unordered_map<std::uint64_t, std::uint64_t> pair_attempts_;
+  /// Probes already issued per unordered pair (same bound and
+  /// generation flush as NoisySpace).
+  mutable util::PairTracker attempts_;
 };
 
 }  // namespace np::matrix

@@ -47,6 +47,15 @@ bool PartitionSchedule::AsymmetricLost(NodeId a, NodeId b) const {
   return util::MixToUnit(mixed) < asymmetric_frac;
 }
 
+void PartitionSchedule::Validate() const {
+  NP_ENSURE(grey_node_frac >= 0.0 && grey_node_frac <= 1.0 &&
+                grey_loss_rate >= 0.0 && grey_loss_rate < 1.0,
+            "PartitionSchedule grey_node_frac must be in [0, 1], "
+            "grey_loss_rate in [0, 1)");
+  NP_ENSURE(asymmetric_frac >= 0.0 && asymmetric_frac < 1.0,
+            "PartitionSchedule asymmetric_frac must be in [0, 1)");
+}
+
 int ComponentOf(const PartitionWindow& w, NodeId n) {
   const auto idx = static_cast<std::size_t>(n);
   return idx < w.component.size() ? w.component[idx] : 0;
@@ -55,14 +64,8 @@ int ComponentOf(const PartitionWindow& w, NodeId n) {
 PartitionedSpace::PartitionedSpace(const core::LatencySpace& inner,
                                    const PartitionSchedule& schedule,
                                    std::uint64_t seed)
-    : inner_(&inner), schedule_(&schedule), stream_seed_(seed) {
-  NP_ENSURE(
-      schedule.grey_node_frac >= 0.0 && schedule.grey_node_frac <= 1.0 &&
-          schedule.grey_loss_rate >= 0.0 && schedule.grey_loss_rate < 1.0,
-    "PartitionSchedule grey_node_frac must be in [0, 1], grey_loss_rate "
-    "in [0, 1)");
-  NP_ENSURE(schedule.asymmetric_frac >= 0.0 && schedule.asymmetric_frac < 1.0,
-            "PartitionSchedule asymmetric_frac must be in [0, 1)");
+    : inner_(&inner), schedule_(&schedule), grey_attempts_(seed) {
+  schedule.Validate();
 }
 
 void PartitionedSpace::set_epoch(int epoch) {
@@ -90,15 +93,8 @@ LatencyMs PartitionedSpace::Latency(NodeId a, NodeId b) const {
     // get through.
     if (schedule_->GreyActive() &&
         (schedule_->IsGrey(a) || schedule_->IsGrey(b))) {
-      if (pair_attempts_.size() >= kMaxTrackedPairs) {
-        pair_attempts_.clear();
-        stream_seed_ = util::Mix64(stream_seed_);
-      }
-      const std::uint64_t pair = util::PairKey(a, b);
-      const std::uint64_t attempt = pair_attempts_[pair]++;
-      const double u = util::MixToUnit(
-          util::Mix64(util::Mix64(stream_seed_ ^ pair) ^ attempt));
-      if (u < schedule_->grey_loss_rate) {
+      if (util::MixToUnit(grey_attempts_.Next(a, b)) <
+          schedule_->grey_loss_rate) {
         return kLostProbeMs;
       }
     }

@@ -22,8 +22,8 @@
 //   3. Grey nodes: a deterministic node_frac of nodes (keyed off the
 //      schedule-level grey_seed) lose probes touching them at
 //      grey loss_rate per attempt. Unlike 1 and 2 this is re-rolled per
-//      attempt with FaultySpace's per-pair attempt-counter scheme (same
-//      kMaxTrackedPairs generation flush), so retries can get through —
+//      attempt with FaultySpace's per-pair attempt-counter scheme (a
+//      util::PairTracker), so retries can get through —
 //      that is what makes it "grey" rather than dead.
 //
 // Thread-safety mirrors FaultySpace: with grey failure active the
@@ -35,10 +35,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/latency_space.h"
+#include "util/pair_tracker.h"
 #include "util/types.h"
 
 namespace np::matrix {
@@ -86,6 +86,8 @@ struct PartitionSchedule {
   bool IsGrey(NodeId n) const;
   /// True iff the directed link a -> b is permanently dead.
   bool AsymmetricLost(NodeId a, NodeId b) const;
+  /// Throws unless the grey and asymmetric rates are in range.
+  void Validate() const;
 };
 
 /// Component of `n` under window `w` (0 when beyond the vector).
@@ -119,17 +121,13 @@ class PartitionedSpace final : public core::LatencySpace {
   const PartitionSchedule& schedule() const { return *schedule_; }
 
  private:
-  /// Same bound and generation-flush scheme as FaultySpace.
-  static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
-
   const core::LatencySpace* inner_;
   const PartitionSchedule* schedule_;
-  mutable std::uint64_t stream_seed_;
   int epoch_ = -1;
   const PartitionWindow* active_ = nullptr;
   /// Grey-loss probes already issued per unordered pair this
   /// generation; untouched unless GreyActive().
-  mutable std::unordered_map<std::uint64_t, std::uint64_t> pair_attempts_;
+  mutable util::PairTracker grey_attempts_;
 };
 
 }  // namespace np::matrix

@@ -22,11 +22,6 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Mix64(std::uint64_t x) {
-  std::uint64_t state = x;
-  return SplitMix64(state);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) {

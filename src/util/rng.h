@@ -17,9 +17,15 @@ namespace np::util {
 /// splitmix64 step; used for seeding and for cheap hash mixing.
 std::uint64_t SplitMix64(std::uint64_t& state);
 
-/// Stateless 64-bit mix of a value (finalizer of splitmix64). Useful to
-/// derive independent child seeds: Mix64(seed ^ kSomeTag).
-std::uint64_t Mix64(std::uint64_t x);
+/// Stateless 64-bit mix of a value (one splitmix64 step from state x).
+/// Useful to derive independent child seeds: Mix64(seed ^ kSomeTag).
+/// Inline: the per-pair probe streams call it twice per probe.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  std::uint64_t z = x + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Order-independent key of an unordered node pair: (min << 32) | max.
 /// `Mix64(seed ^ PairKey(a, b))` yields symmetric per-pair randomness —

@@ -607,21 +607,25 @@ void WriteReportJson(std::ostream& out, const std::string& scenario_name,
                                          : nullptr) {
     // Row-cache observability (whole run, all algorithms): the data
     // that tells an operator whether row_cache_capacity is sized right
-    // for this workload. Counters depend on probe interleaving, so
-    // multi-threaded runs of the same scenario may report different
-    // splits — latencies themselves are cache-state independent.
-    const auto stats = sparse->cache_stats();
-    const std::uint64_t lookups = stats.hits + stats.misses;
+    // for this workload. Everything but the capacity depends on probe
+    // interleaving, so multi-threaded runs of the same scenario may
+    // report different splits (latencies themselves are cache-state
+    // independent); --strip-wallclock drops those fields with the
+    // other scheduling-dependent ones.
     out << "  \"sparse_cache\": {\"capacity\": "
-        << sparse->config().row_cache_capacity
-        << ", \"cached_rows\": " << sparse->cached_rows()
-        << ", \"hits\": " << stats.hits << ", \"misses\": " << stats.misses
-        << ", \"evictions\": " << stats.evictions << ", \"hit_rate\": "
-        << (lookups == 0
-                ? 0.0
-                : static_cast<double>(stats.hits) /
-                      static_cast<double>(lookups))
-        << "},\n";
+        << sparse->config().row_cache_capacity;
+    if (!strip_wallclock) {
+      const auto stats = sparse->cache_stats();
+      const std::uint64_t lookups = stats.hits + stats.misses;
+      out << ", \"cached_rows\": " << sparse->cached_rows()
+          << ", \"hits\": " << stats.hits << ", \"misses\": "
+          << stats.misses << ", \"evictions\": " << stats.evictions
+          << ", \"hit_rate\": "
+          << (lookups == 0 ? 0.0
+                           : static_cast<double>(stats.hits) /
+                                 static_cast<double>(lookups));
+    }
+    out << "},\n";
   }
   out << "  \"algorithms\": [\n";
   for (std::size_t a = 0; a < reports.size(); ++a) {
