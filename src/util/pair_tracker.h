@@ -26,14 +26,25 @@
 // tests/util/pair_tracker_test.cc checks the footprint at every size up
 // to and across a flush.
 //
+// Tables of kMappedTableBytes or more are page-mapped directly (mmap)
+// rather than taken from the heap, and unmapped when a growth step or a
+// flush drops them. A long-lived tracker walks through tables of
+// ever-larger sizes; freed back to malloc, each one would raise glibc's
+// dynamic mmap threshold and leave the next tables to be carved out of
+// whichever thread's heap asked, so how much memory the process kept
+// would depend on thread interleaving. Mapped tables cost exactly their
+// pages while they live and nothing after. MappedBytes() and
+// PeakMappedBytes() count them process-wide.
+//
 // A pair drawn 2^32 times within one generation throws rather than
 // wrap its 32-bit count. Not thread-safe: Next() mutates. Copies are
 // independent and continue from the same counts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -43,6 +54,16 @@ class PairTracker {
  public:
   /// Distinct pairs one generation holds before it is flushed.
   static constexpr std::size_t kMaxTrackedPairs = std::size_t{1} << 20;
+  /// Tables at least this large are page-mapped instead of heap-allocated
+  /// (glibc's default M_MMAP_THRESHOLD).
+  static constexpr std::size_t kMappedTableBytes = std::size_t{128} << 10;
+
+  /// Bytes of page-mapped tables alive now, over every tracker in the
+  /// process (whole pages).
+  static std::size_t MappedBytes();
+  /// The most MappedBytes() has been since the last ResetPeakMappedBytes().
+  static std::size_t PeakMappedBytes();
+  static void ResetPeakMappedBytes();
 
   explicit PairTracker(std::uint64_t seed) : seed_(seed) {}
 
@@ -75,6 +96,39 @@ class PairTracker {
 
   static constexpr std::uint32_t kMaxCount = 0xffffffffU;
   static constexpr std::size_t kMinCapacity = 8;
+
+  /// Zero-filled slot array: heap-allocated, or page-mapped from
+  /// kMappedTableBytes up. Copies are deep.
+  class Table {
+   public:
+    Table() = default;
+    explicit Table(std::size_t capacity);
+    Table(const Table& other);
+    Table(Table&& other) noexcept { swap(other); }
+    Table& operator=(Table other) noexcept {
+      swap(other);
+      return *this;
+    }
+    ~Table() { Release(); }
+
+    std::size_t size() const { return capacity_; }
+    bool mapped() const {
+      return capacity_ * sizeof(Slot) >= kMappedTableBytes;
+    }
+    Slot& operator[](std::size_t i) { return data_[i]; }
+    const Slot* begin() const { return data_; }
+    const Slot* end() const { return data_ + capacity_; }
+    void swap(Table& other) noexcept {
+      std::swap(data_, other.data_);
+      std::swap(capacity_, other.capacity_);
+    }
+
+   private:
+    void Release() noexcept;
+
+    Slot* data_ = nullptr;
+    std::size_t capacity_ = 0;
+  };
 
   static std::uint64_t HashOf(const Slot& slot) {
     std::uint64_t hashed = 0;
@@ -126,7 +180,7 @@ class PairTracker {
   void Flush();
   [[noreturn]] static void CountOverflow();
 
-  std::vector<Slot> slots_;
+  Table slots_;
   std::size_t size_ = 0;
   /// Pairs the current table takes before the next insert grows it.
   std::size_t grow_at_ = 0;

@@ -7,11 +7,14 @@
 //     FaultySpace loss, PartitionedSpace grey loss);
 //   * copies continue from the same counts;
 //   * footprint: at every size up to and across a flush, the bytes the
-//     tracker holds — including the old + new tables of a growth step —
-//     never exceed what the node map holds for the same pairs.
+//     tracker holds — including the old + new tables of a growth step,
+//     on the heap or page-mapped — never exceed what the node map holds
+//     for the same pairs;
+//   * large tables are page-mapped and unmapped again when dropped.
 //
 // This binary replaces global operator new/delete to count heap bytes;
-// it is its own executable, so nothing else is affected.
+// it is its own executable, so nothing else is affected. Page-mapped
+// tables are counted by PairTracker::MappedBytes().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -194,8 +197,9 @@ TEST(PairTracker, CopyContinuesTheSameCounts) {
 TEST(PairTracker, FootprintNeverExceedsTheNodeMap) {
   // Bytes held by each structure after every draw of a new pair, and
   // for the tracker also the peak during the draw (a growth step holds
-  // the old and the new table at once). The node map's own growth
-  // transients are not counted.
+  // the old and the new table at once). Tracker bytes are heap bytes
+  // plus page-mapped bytes; the two peaks are summed, which can only
+  // overstate. The node map's own growth transients are not counted.
   std::unordered_map<std::uint64_t, std::uint64_t> node_map;
   PairTracker tracker(3);
   const std::size_t total = PairTracker::kMaxTrackedPairs + 50'000;
@@ -219,15 +223,45 @@ TEST(PairTracker, FootprintNeverExceedsTheNodeMap) {
 
     live = static_cast<std::int64_t>(g_live_bytes);
     g_peak_bytes = g_live_bytes;
+    const auto mapped = static_cast<std::int64_t>(PairTracker::MappedBytes());
+    PairTracker::ResetPeakMappedBytes();
     tracker.Next(a, b);
     const std::int64_t peak =
-        tracker_bytes + static_cast<std::int64_t>(g_peak_bytes) - live;
-    tracker_bytes += static_cast<std::int64_t>(g_live_bytes) - live;
+        tracker_bytes + static_cast<std::int64_t>(g_peak_bytes) - live +
+        static_cast<std::int64_t>(PairTracker::PeakMappedBytes()) - mapped;
+    tracker_bytes += static_cast<std::int64_t>(g_live_bytes) - live +
+                     static_cast<std::int64_t>(PairTracker::MappedBytes()) -
+                     mapped;
     ASSERT_LE(peak, node_step)
         << "draw " << i + 1 << ": tracker peak " << peak
         << " B vs node map " << node_step << " B";
     ASSERT_LE(tracker_bytes, node_bytes) << "draw " << i + 1;
   }
+}
+
+TEST(PairTracker, LargeTablesAreMappedAndUnmapped) {
+  const std::size_t before = PairTracker::MappedBytes();
+  {
+    PairTracker tracker(4);
+    std::size_t draws = 0;
+    while (PairTracker::MappedBytes() == before) {
+      tracker.Next(static_cast<NodeId>(draws % 4093),
+                   static_cast<NodeId>(4093 + draws / 4093));
+      ++draws;
+    }
+    // The first mapped table is the first one of at least
+    // kMappedTableBytes: the table before it (2/3 the slots) was not.
+    EXPECT_GE(tracker.capacity() * 12, PairTracker::kMappedTableBytes);
+    EXPECT_LT(tracker.capacity() * 12 * 2 / 3,
+              PairTracker::kMappedTableBytes);
+    const std::size_t table = PairTracker::MappedBytes() - before;
+    EXPECT_GE(table, tracker.capacity() * 12);
+    EXPECT_LT(table, tracker.capacity() * 12 + 65536);
+
+    const PairTracker copy = tracker;
+    EXPECT_EQ(PairTracker::MappedBytes() - before, 2 * table);
+  }
+  EXPECT_EQ(PairTracker::MappedBytes(), before);
 }
 
 // --- Decorators -------------------------------------------------------------
