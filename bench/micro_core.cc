@@ -3,9 +3,9 @@
 // metric repair (serial reference vs blocked/parallel), the triangle
 //-violation scan, allocation-free nearest-neighbour queries, Meridian
 // build/query, the full clustered experiment serial vs parallel, and
-// the probe path: ns/probe for the dense and embedded backends, bare
-// and through the composed ProbeChannel (clean, noise, noise + loss,
-// grey loss).
+// the probe path: ns/probe for the dense, embedded and sparse
+// backends, bare and through the composed ProbeChannel (clean, noise,
+// noise + loss, grey loss).
 //
 // The derived speedup_* metrics are the acceptance numbers for the
 // parallel simulation core: on an N-core box, metric_repair and the
@@ -33,6 +33,7 @@
 #include "matrix/generators.h"
 #include "matrix/latency_matrix.h"
 #include "matrix/partitioned_space.h"
+#include "matrix/sparse_space.h"
 #include "measure/path_graph.h"
 #include "meridian/meridian.h"
 #include "net/tools.h"
@@ -390,6 +391,10 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
   embedded_config.distortion = 0.1;
   embedded_config.seed = 17;
   const np::matrix::EmbeddedSpace embedded(embedded_config);
+  np::matrix::SparseTopologyConfig sparse_config;
+  sparse_config.num_nodes = 10000;
+  sparse_config.seed = 22;
+  const np::matrix::SparseTopologySpace sparse(sparse_config);
 
   np::matrix::PartitionSchedule grey;
   grey.grey_node_frac = 0.1;
@@ -410,13 +415,14 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
   const NodeId candidates = 400;
   const double probes = static_cast<double>(pivots) * candidates;
 
-  const auto sweep = [&](const np::core::LatencySpace& space) {
-    // Pivots and candidates spread over the whole space.
+  const auto sweep = [&](const np::core::LatencySpace& space, int rows) {
+    // Pivots and candidates spread over the whole space; pivot p reads
+    // row p % rows.
     const NodeId n = space.size();
     double sink = 0.0;
     for (int p = 0; p < pivots; ++p) {
       const auto pivot = static_cast<NodeId>(
-          (static_cast<std::int64_t>(p) * 7919) % n);
+          (static_cast<std::int64_t>(p % rows) * 7919) % n);
       for (NodeId c = 0; c < candidates; ++c) {
         const auto candidate = static_cast<NodeId>(
             (static_cast<std::int64_t>(c) * 104729 + p) % n);
@@ -432,14 +438,29 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
                     reporter.PhaseMs("probe_path_" + tag) * 1e6 / probes);
   };
 
-  const std::pair<const char*, const np::core::LatencySpace*> backends[] = {
-      {"dense", &dense}, {"embedded", &embedded}};
-  for (const auto& [backend_name, backend] : backends) {
+  // The sparse backend cycles through half as many pivots as its row
+  // cache holds and is swept once untimed, so its timed probes are row
+  // cache hits: a miss costs a whole Dijkstra row (about 4 ms at
+  // n = 10^4), which would hide the cost of every layer.
+  struct Backend {
+    const char* name;
+    const np::core::LatencySpace* space;
+    int rows;
+  };
+  const Backend backends[] = {
+      {"dense", &dense, pivots},
+      {"embedded", &embedded, pivots},
+      {"sparse", &sparse,
+       static_cast<int>(sparse_config.row_cache_capacity / 2)}};
+  for (const auto& [backend_name, backend, rows] : backends) {
+    if (rows < pivots) {
+      (void)sweep(*backend, rows);
+    }
     const std::string bare = std::string(backend_name) + "_bare";
     double sink = 0.0;
     {
       auto phase = reporter.Phase("probe_path_" + bare, probes);
-      sink = sweep(*backend);
+      sink = sweep(*backend, rows);
     }
     record(bare, sink);
     for (const Setup& setup : setups) {
@@ -454,7 +475,7 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
       const np::core::ProbeChannel channel(*backend, config);
       {
         auto phase = reporter.Phase("probe_path_" + tag, probes);
-        sink = sweep(channel.space());
+        sink = sweep(channel.space(), rows);
       }
       record(tag, sink);
     }

@@ -125,6 +125,7 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
   out.found = result.found;
   out.failed = result.found == kInvalidNode;
   out.probes = metered.probes();
+  out.truth = truth;
   out.truth_latency = batch.space->Latency(truth, target);
   if (!out.failed) {
     out.hops = result.hops;
@@ -215,6 +216,71 @@ void ReduceQueryOutcomes(const std::vector<QueryOutcome>& outcomes,
     er.excess_latency_p95_ms = util::PercentileSorted(excess, 95.0);
     er.excess_latency_p99_ms = util::PercentileSorted(excess, 99.0);
   }
+}
+
+StalenessReport ScoreStaleness(const LatencySpace& space,
+                               const std::vector<QueryOutcome>& outcomes,
+                               const std::vector<NodeId>& members,
+                               const std::vector<NodeId>& next_members,
+                               LatencyMs tie_epsilon_ms) {
+  // Membership marks: every test is a lookup.
+  constexpr std::uint8_t kMember = 1;
+  constexpr std::uint8_t kNextMember = 2;
+  std::vector<std::uint8_t> mark(static_cast<std::size_t>(space.size()), 0);
+  for (const NodeId m : members) {
+    mark[static_cast<std::size_t>(m)] |= kMember;
+  }
+  for (const NodeId m : next_members) {
+    mark[static_cast<std::size_t>(m)] |= kNextMember;
+  }
+  const auto live = [&](NodeId m) {
+    return (mark[static_cast<std::size_t>(m)] & kNextMember) != 0;
+  };
+  std::vector<NodeId> joined;
+  for (const NodeId m : next_members) {
+    if ((mark[static_cast<std::size_t>(m)] & kMember) == 0) {
+      joined.push_back(m);
+    }
+  }
+  // Some candidate other than the target beats the answer by more than
+  // the tie epsilon. `<` skips a NaN latency exactly as
+  // TrueClosestMember's minimum does, and min(l) + eps rounds to
+  // min(l + eps), so for a clean (never NaN) answer latency this is the
+  // negation of the brute-force verdict.
+  const auto beaten = [&](const std::vector<NodeId>& candidates,
+                          const QueryOutcome& out) {
+    for (const NodeId m : candidates) {
+      if (m != out.target &&
+          space.Latency(m, out.target) + tie_epsilon_ms < out.found_latency) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  std::int64_t exact_live = 0;
+  std::int64_t departed = 0;
+  for (const QueryOutcome& out : outcomes) {
+    if (out.failed) {
+      continue;  // counts as not exact-live, not as departed
+    }
+    if (!live(out.found)) {
+      ++departed;
+      continue;
+    }
+    // An inexact answer is beaten by the epoch's truth, which settles it
+    // if the truth is still a member. An exact one is within the
+    // epsilon of every survivor, so only a joiner can beat it.
+    const bool stale = out.exact
+                           ? beaten(joined, out)
+                           : live(out.truth) || beaten(next_members, out);
+    exact_live += stale ? 0 : 1;
+  }
+  StalenessReport st;
+  const double n = static_cast<double>(outcomes.size());
+  st.p_exact_live = static_cast<double>(exact_live) / n;
+  st.p_found_departed = static_cast<double>(departed) / n;
+  return st;
 }
 
 std::vector<EpochReport::ComponentStats> SplitByComponent(

@@ -29,8 +29,8 @@
 namespace np::core {
 
 /// Per-query record, reduced serially in query order (thread-count
-/// invariance, as in the PR-1 experiment runners). `found`/`target`
-/// ride along for the serving engine's staleness scoring.
+/// invariance, as in the PR-1 experiment runners). `found`/`target`/
+/// `truth` ride along for the serving engine's staleness scoring.
 struct QueryOutcome {
   LatencyMs found_latency = 0.0;
   LatencyMs truth_latency = 0.0;
@@ -50,6 +50,9 @@ struct QueryOutcome {
   int target_component = 0;
   NodeId found = kInvalidNode;
   NodeId target = kInvalidNode;
+  /// True closest member of the epoch (TrueClosestMember), the node
+  /// `truth_latency` was measured to.
+  NodeId truth = kInvalidNode;
 };
 
 /// Normalized CDF of Zipf weights 1/(r+1)^s over pool positions.
@@ -129,6 +132,38 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
 /// when non-null.
 void ReduceQueryOutcomes(const std::vector<QueryOutcome>& outcomes,
                          EpochReport& er, std::uint64_t* failed_queries);
+
+/// Deterministic staleness of one epoch's answers, scored against the
+/// membership live while the snapshot served (= the next epoch's
+/// membership; the final epoch scores against itself).
+struct StalenessReport {
+  int epoch = 0;
+  /// Answer is still the true closest among next-epoch members (same
+  /// tie epsilon as p_exact_closest). Failed queries count as stale.
+  double p_exact_live = 0.0;
+  /// The returned peer is no longer a member one epoch later.
+  double p_found_departed = 0.0;
+};
+
+/// Scores one epoch's outcomes (answered against `members`) against
+/// `next_members`: an answer is exact-live iff it is still a member
+/// and `found_latency <= Latency(TrueClosestMember(next_members,
+/// target), target) + tie_epsilon_ms`. The verdict is that rule bit for
+/// bit, derived incrementally instead of by a rescan per query:
+///  - an answer inexact in its own epoch is beaten by the epoch's
+///    truth: stale at no cost while the truth is still a member, else
+///    the next membership is scanned;
+///  - an answer exact in its own epoch is within the epsilon of every
+///    survivor (rounding is monotone), so only the epoch's joiners are
+///    scanned;
+/// every scan stops at the first member that beats the answer. The
+/// outcomes must carry the epoch's truth and `exact` scored with the
+/// same `tie_epsilon_ms`. `epoch` is left zero for the caller.
+StalenessReport ScoreStaleness(const LatencySpace& space,
+                               const std::vector<QueryOutcome>& outcomes,
+                               const std::vector<NodeId>& members,
+                               const std::vector<NodeId>& next_members,
+                               LatencyMs tie_epsilon_ms);
 
 /// Per-component membership/query split for one partitioned epoch,
 /// ordered by component id (deterministic). Load Gini is left zero for

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/epoch_window.h"
@@ -334,6 +333,13 @@ ServingReport RunServing(const LatencySpace& space,
         slot.maint_probation + reader_snap.probation_probes;
 
     report.epochs.push_back(slot.er);
+    // Staleness: epoch k scored against epoch k+1's membership.
+    const std::vector<NodeId>& next_members =
+        k + 1 < slots.size() ? slots[k + 1].members : slot.members;
+    StalenessReport st = ScoreStaleness(space, slot.outcomes, slot.members,
+                                        next_members, sc.tie_epsilon_ms);
+    st.epoch = static_cast<int>(k);
+    sr.staleness.push_back(st);
     all_latency_us.insert(all_latency_us.end(), slot.latency_us.begin(),
                           slot.latency_us.end());
   }
@@ -342,38 +348,6 @@ ServingReport RunServing(const LatencySpace& space,
   report.totals = counter.Read();
   report.messages_per_query = report.totals.MessagesPerQuery();
   report.maintenance_per_event = report.totals.MaintenancePerEvent();
-
-  // --- Staleness: epoch k scored against epoch k+1's membership ----------
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    const EpochSlot& slot = slots[k];
-    const std::vector<NodeId>& next_members =
-        k + 1 < slots.size() ? slots[k + 1].members : slot.members;
-    const std::unordered_set<NodeId> next_set(next_members.begin(),
-                                              next_members.end());
-    std::int64_t exact_live = 0;
-    std::int64_t departed = 0;
-    for (const QueryOutcome& out : slot.outcomes) {
-      if (out.failed) {
-        continue;  // counts as not exact-live, not as departed
-      }
-      if (next_set.find(out.found) == next_set.end()) {
-        ++departed;
-        continue;
-      }
-      const NodeId truth =
-          TrueClosestMember(space, next_members, out.target);
-      const LatencyMs truth_latency = space.Latency(truth, out.target);
-      if (out.found_latency <= truth_latency + sc.tie_epsilon_ms) {
-        ++exact_live;
-      }
-    }
-    StalenessReport st;
-    st.epoch = static_cast<int>(k);
-    const double n = static_cast<double>(slot.outcomes.size());
-    st.p_exact_live = static_cast<double>(exact_live) / n;
-    st.p_found_departed = static_cast<double>(departed) / n;
-    sr.staleness.push_back(st);
-  }
 
   // --- Wall-clock service metrics ----------------------------------------
   if (!all_latency_us.empty()) {

@@ -34,6 +34,7 @@
 #include "core/churn.h"
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
+#include "core/query_batch.h"
 #include "core/scenario.h"
 #include "matrix/generators.h"
 #include "util/types.h"
@@ -48,18 +49,6 @@ struct ServingConfig {
   /// Query threads racing the churn writer. > 1 requires the
   /// algorithm to be ParallelQuerySafe.
   int reader_threads = 1;
-};
-
-/// Deterministic staleness of one epoch's answers, scored against the
-/// membership live while the snapshot served (= the next epoch's
-/// membership; the final epoch scores against itself).
-struct StalenessReport {
-  int epoch = 0;
-  /// Answer is still the true closest among next-epoch members (same
-  /// tie epsilon as p_exact_closest). Failed queries count as stale.
-  double p_exact_live = 0.0;
-  /// The returned peer is no longer a member one epoch later.
-  double p_found_departed = 0.0;
 };
 
 struct ServingReport {
