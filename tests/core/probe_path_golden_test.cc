@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 
 #include "bench/algo_factory.h"
@@ -206,6 +207,11 @@ struct GoldenCase {
   const char* scenario_digest;
   const char* serving_digest;
 };
+
+// Without this gtest prints the raw bytes of the three pointers, and
+// the test's listed name (which carries the printed value) would move
+// with address-space randomisation on every run.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.algorithm; }
 
 class ProbePathGolden : public ::testing::TestWithParam<GoldenCase> {};
 
