@@ -5,7 +5,8 @@
 // build/query, the full clustered experiment serial vs parallel, and
 // the probe path: ns/probe for the dense, embedded and sparse
 // backends, bare and through the composed ProbeChannel (clean, noise,
-// noise + loss, grey loss).
+// noise + loss, grey loss), and ns per truth query on embedded worlds,
+// exhaustive scan against the grid-pruned TruthIndex.
 //
 // The derived speedup_* metrics are the acceptance numbers for the
 // parallel simulation core: on an N-core box, metric_repair and the
@@ -20,14 +21,18 @@
 // queries).
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
 #include "bench/reporter.h"
 #include "coord/vivaldi.h"
 #include "core/experiment.h"
+#include "core/nearest_algorithm.h"
 #include "core/probe_channel.h"
+#include "core/truth_index.h"
 #include "dht/chord.h"
 #include "matrix/embedded_space.h"
 #include "matrix/generators.h"
@@ -482,6 +487,64 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
   }
 }
 
+// ns per truth query (the true closest member of one target) on
+// embedded worlds: the exhaustive scan (TrueClosestMember) against the
+// grid-pruned core::TruthIndex, whose answers must agree. Wall-clock:
+// phases truth_scan_* / truth_index_* (ops = queries) and derived
+// truth_ns_scan_* / truth_ns_index_*, never gated.
+void BenchTruth(np::bench::Reporter& reporter, bool quick) {
+  struct World {
+    const char* tag;
+    NodeId n;
+    std::size_t members;
+    int queries;
+  };
+  const World worlds[] = {{"n1e4_m1150", 10000, 1150, quick ? 2000 : 20000},
+                          {"n1e5_m1e4", 100000, 10000, quick ? 200 : 2000}};
+  for (const World& w : worlds) {
+    np::matrix::EmbeddedSpaceConfig config;
+    config.num_nodes = w.n;
+    config.distortion = 0.1;
+    config.seed = 23;
+    const np::matrix::EmbeddedSpace space(config);
+    np::util::Rng rng(24);
+    std::vector<NodeId> nodes(static_cast<std::size_t>(w.n));
+    for (NodeId i = 0; i < w.n; ++i) {
+      nodes[static_cast<std::size_t>(i)] = i;
+    }
+    rng.Shuffle(nodes);
+    const std::vector<NodeId> members(
+        nodes.begin(), nodes.begin() + static_cast<std::ptrdiff_t>(w.members));
+    std::vector<NodeId> targets(static_cast<std::size_t>(w.queries));
+    for (NodeId& t : targets) {
+      t = nodes[w.members + rng.Index(nodes.size() - w.members)];
+    }
+    const std::string tag = w.tag;
+    const auto queries = static_cast<double>(w.queries);
+
+    std::vector<NodeId> scanned(targets.size());
+    {
+      auto phase = reporter.Phase("truth_scan_" + tag, queries);
+      for (std::size_t q = 0; q < targets.size(); ++q) {
+        scanned[q] = np::core::TrueClosestMember(space, members, targets[q]);
+      }
+    }
+    std::vector<NodeId> indexed(targets.size());
+    {
+      auto phase = reporter.Phase("truth_index_" + tag, queries);
+      const np::core::TruthIndex index(space, members);
+      for (std::size_t q = 0; q < targets.size(); ++q) {
+        indexed[q] = index.Closest(targets[q]);
+      }
+    }
+    NP_ENSURE(scanned == indexed, "truth index disagrees with the scan");
+    reporter.Derive("truth_ns_scan_" + tag,
+                    reporter.PhaseMs("truth_scan_" + tag) * 1e6 / queries);
+    reporter.Derive("truth_ns_index_" + tag,
+                    reporter.PhaseMs("truth_index_" + tag) * 1e6 / queries);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -491,7 +554,8 @@ int main() {
       "raw costs of the simulation core: blocked/parallel Floyd-Warshall "
       "vs serial, triangle scan, allocation-free nearest queries, "
       "Meridian build/query, clustered experiment serial vs parallel, "
-      "ns/probe along the probe path.");
+      "ns/probe along the probe path, ns per truth query (scan vs "
+      "grid index).");
   const bool quick = np::bench::QuickScale();
 
   np::bench::Reporter reporter("core");
@@ -503,6 +567,7 @@ int main() {
   BenchMeridian(reporter, quick ? 400 : 2400, quick ? 200 : 1000);
   BenchBuildingBlocks(reporter, quick);
   BenchProbePath(reporter, quick);
+  BenchTruth(reporter, quick);
 
   reporter.Derive("total_wall_ms", total.ElapsedMs());
   reporter.Derive("query_loop_threads",

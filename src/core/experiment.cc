@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "core/truth_index.h"
 #include "util/contract.h"
 #include "util/parallel.h"
 #include "util/stats.h"
@@ -50,6 +51,7 @@ std::vector<Outcome> RunQueryLoop(const LatencySpace& space,
                                   const Score& score) {
   const std::uint64_t noise_base = rng();
   const std::uint64_t query_base = rng();
+  const TruthIndex truth_index(space, split.members);
   std::vector<Outcome> outcomes(static_cast<std::size_t>(config.num_queries));
   util::ParallelFor(
       0, outcomes.size(), QueryThreads(config, algo), [&](std::size_t q) {
@@ -59,7 +61,7 @@ std::vector<Outcome> RunQueryLoop(const LatencySpace& space,
                                config.measurement_noise_floor_ms);
         const MeteredSpace metered(noisy);
         const NodeId target = split.targets[qrng.Index(split.targets.size())];
-        const NodeId truth = TrueClosestMember(space, split.members, target);
+        const NodeId truth = truth_index.Closest(target);
 
         const QueryResult result = algo.Query(target, metered, qrng);
         NP_ENSURE(result.found != kInvalidNode, "algorithm returned no peer");
@@ -367,10 +369,11 @@ double MeasureExactRate(const LatencySpace& space,
                         LatencyMs tie_epsilon_ms, util::Rng& rng) {
   NP_ENSURE(!pool.empty(), "no targets left outside the overlay");
   const MeteredSpace metered(space);
+  const TruthIndex truth_index(space, members);
   int exact = 0;
   for (int q = 0; q < queries; ++q) {
     const NodeId target = pool[rng.Index(pool.size())];
-    const NodeId truth = TrueClosestMember(space, members, target);
+    const NodeId truth = truth_index.Closest(target);
     const QueryResult result = algo.Query(target, metered, rng);
     NP_ENSURE(result.found != kInvalidNode, "algorithm returned no peer");
     if (space.Latency(result.found, target) <=

@@ -222,7 +222,8 @@ class RandomNearest final : public NearestPeerAlgorithm {
 };
 
 /// True closest member to `target` by exhaustive scan (unmetered).
-/// Ties broken by lower id.
+/// Ties broken by lower id. Engines scoring many targets against one
+/// membership use core::TruthIndex, which answers the same.
 NodeId TrueClosestMember(const LatencySpace& space,
                          const std::vector<NodeId>& members, NodeId target);
 

@@ -8,31 +8,6 @@
 #include "util/stats.h"
 
 namespace np::core {
-namespace {
-
-/// True closest member of the target's component (clean latencies),
-/// kInvalidNode when the component holds no member. Lowest id on ties,
-/// like TrueClosestMember.
-NodeId TrueClosestReachable(const LatencySpace& space,
-                            const std::vector<NodeId>& members, NodeId target,
-                            const matrix::PartitionWindow& window,
-                            int target_component) {
-  NodeId best = kInvalidNode;
-  LatencyMs best_latency = kInfiniteLatency;
-  for (const NodeId m : members) {
-    if (matrix::ComponentOf(window, m) != target_component) {
-      continue;
-    }
-    const LatencyMs l = space.Latency(m, target);
-    if (l < best_latency || (l == best_latency && m < best)) {
-      best = m;
-      best_latency = l;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 std::vector<double> ZipfCdf(std::size_t n, double s) {
   std::vector<double> cdf(n);
@@ -113,7 +88,7 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
   const NodeId target =
       uniform ? pool[qrng.Index(pool.size())]
               : pool[ZipfIndex(*batch.zipf_cdf, qrng.NextDouble())];
-  const NodeId truth = TrueClosestMember(*batch.space, *batch.members, target);
+  const NodeId truth = batch.truth->Closest(target);
 
   const QueryResult result = algo.Query(target, metered, qrng);
   if (!batch.fault_mode) {
@@ -142,8 +117,7 @@ QueryOutcome RunBatchQuery(const QueryBatch& batch, NearestPeerAlgorithm& algo,
   if (batch.active_window != nullptr) {
     const matrix::PartitionWindow& window = *batch.active_window;
     out.target_component = matrix::ComponentOf(window, target);
-    const NodeId rtruth = TrueClosestReachable(
-        *batch.space, *batch.members, target, window, out.target_component);
+    const NodeId rtruth = batch.truth->ClosestReachable(target, truth, window);
     if (rtruth == kInvalidNode) {
       // No member shares the target's component: the only correct
       // answer is an honest failure.

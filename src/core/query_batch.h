@@ -22,6 +22,7 @@
 #include "core/probe_channel.h"
 #include "core/probe_counter.h"
 #include "core/scenario.h"
+#include "core/truth_index.h"
 #include "matrix/generators.h"
 #include "matrix/partitioned_space.h"
 #include "util/types.h"
@@ -50,7 +51,7 @@ struct QueryOutcome {
   int target_component = 0;
   NodeId found = kInvalidNode;
   NodeId target = kInvalidNode;
-  /// True closest member of the epoch (TrueClosestMember), the node
+  /// True closest member of the epoch (TruthIndex::Closest), the node
   /// `truth_latency` was measured to.
   NodeId truth = kInvalidNode;
 };
@@ -66,8 +67,10 @@ struct QueryBatch {
   const LatencySpace* space = nullptr;
   /// Nullable: enables the clustered accuracy metrics.
   const matrix::ClusterLayout* layout = nullptr;
-  /// Live membership the epoch answers against (ground truth).
-  const std::vector<NodeId>* members = nullptr;
+  /// Ground truth: the index over the live membership the epoch
+  /// answers against, built once per epoch and shared read-only by
+  /// every query of the batch.
+  const TruthIndex* truth = nullptr;
   /// Query-target pool.
   const std::vector<NodeId>* pool = nullptr;
   /// Nullable/empty: uniform target draw (the exact pre-fault path).

@@ -10,6 +10,7 @@
 #include "core/probe_channel.h"
 #include "core/probe_policy.h"
 #include "core/query_batch.h"
+#include "core/truth_index.h"
 #include "matrix/partitioned_space.h"
 #include "util/contract.h"
 #include "util/error.h"
@@ -150,10 +151,11 @@ ScenarioReport RunScenario(const LatencySpace& space,
       zipf_cdf = ZipfCdf(pool.size(), config.query_zipf_s);
     }
 
+    const TruthIndex truth(space, members);
     QueryBatch batch;
     batch.space = &space;
     batch.layout = layout;
-    batch.members = &members;
+    batch.truth = &truth;
     batch.pool = &pool;
     batch.zipf_cdf = &zipf_cdf;
     batch.tie_epsilon_ms = config.tie_epsilon_ms;

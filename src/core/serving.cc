@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "core/probe_channel.h"
 #include "core/probe_policy.h"
 #include "core/query_batch.h"
+#include "core/truth_index.h"
 #include "util/contract.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -49,6 +51,9 @@ struct EpochSlot {
   std::unique_ptr<SuspicionLedger> reader_suspicion;
   std::unique_ptr<ProbePolicy> reader_policy;
   std::vector<double> zipf_cdf;
+  /// Truth index over the snapshot's membership, shared read-only by
+  /// the epoch's readers.
+  std::optional<TruthIndex> truth;
   QueryBatch batch;
   std::vector<QueryOutcome> outcomes;
   /// Wall-clock per-query service time, microseconds.
@@ -270,7 +275,8 @@ ServingReport RunServing(const LatencySpace& space,
     slot.latency_us.resize(queries);
     slot.batch.space = &space;
     slot.batch.layout = layout;
-    slot.batch.members = &snap->members;
+    slot.truth.emplace(space, snap->members);
+    slot.batch.truth = &*slot.truth;
     slot.batch.pool = &snap->pool;
     slot.batch.zipf_cdf = &slot.zipf_cdf;
     slot.batch.tie_epsilon_ms = sc.tie_epsilon_ms;

@@ -1,24 +1,46 @@
 #include "matrix/embedded_space.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.h"
 #include "util/rng.h"
 
 namespace np::matrix {
 
+namespace {
+
+void Validate(const EmbeddedSpaceConfig& config) {
+  NP_ENSURE(config.num_nodes >= 1, "EmbeddedSpace requires n >= 1");
+  NP_ENSURE(config.dimensions >= 1, "need at least one dimension");
+  NP_ENSURE(config.side_ms > 0.0, "side must be positive");
+  NP_ENSURE(config.distortion >= 0.0 && config.distortion < 1.0,
+            "distortion must be in [0, 1)");
+}
+
+}  // namespace
+
 EmbeddedSpace::EmbeddedSpace(const EmbeddedSpaceConfig& config)
     : config_(config) {
-  NP_ENSURE(config_.num_nodes >= 1, "EmbeddedSpace requires n >= 1");
-  NP_ENSURE(config_.dimensions >= 1, "need at least one dimension");
-  NP_ENSURE(config_.side_ms > 0.0, "side must be positive");
-  NP_ENSURE(config_.distortion >= 0.0 && config_.distortion < 1.0,
-            "distortion must be in [0, 1)");
+  Validate(config_);
   util::Rng rng(util::Mix64(config_.seed));
   coords_.resize(static_cast<std::size_t>(config_.num_nodes) *
                  static_cast<std::size_t>(config_.dimensions));
   for (double& c : coords_) {
     c = rng.Uniform(0.0, config_.side_ms);
+  }
+}
+
+EmbeddedSpace::EmbeddedSpace(const EmbeddedSpaceConfig& config,
+                             std::vector<double> coordinates)
+    : config_(config), coords_(std::move(coordinates)) {
+  Validate(config_);
+  NP_ENSURE(coords_.size() == static_cast<std::size_t>(config_.num_nodes) *
+                                  static_cast<std::size_t>(config_.dimensions),
+            "need num_nodes x dimensions coordinates");
+  for (const double c : coords_) {
+    NP_ENSURE(c >= 0.0 && c <= config_.side_ms,
+              "coordinates must lie in [0, side_ms]");
   }
 }
 

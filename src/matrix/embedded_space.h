@@ -48,6 +48,13 @@ class EmbeddedSpace final : public core::LatencySpace {
  public:
   explicit EmbeddedSpace(const EmbeddedSpaceConfig& config);
 
+  /// Explicit row-major num_nodes x dimensions coordinates, each in
+  /// [0, side_ms], in place of the seeded draw (hand-built worlds:
+  /// coincident points, corners, exact ties). The seed still keys the
+  /// per-pair distortion.
+  EmbeddedSpace(const EmbeddedSpaceConfig& config,
+                std::vector<double> coordinates);
+
   NodeId size() const override { return config_.num_nodes; }
 
   /// Pure function of (config, a, b): no internal state is read or

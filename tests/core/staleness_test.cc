@@ -16,6 +16,7 @@
 #include "core/latency_space.h"
 #include "core/nearest_algorithm.h"
 #include "core/query_batch.h"
+#include "core/truth_index.h"
 #include "matrix/embedded_space.h"
 #include "matrix/generators.h"
 #include "matrix/latency_matrix.h"
@@ -334,9 +335,10 @@ TEST(ScoreStaleness, ReadersRecordTheTruthTheyScoredAgainst) {
   RandomNearest algo;
   algo.Build(space, e.members, rng);
 
+  const TruthIndex truth(space, e.members);
   QueryBatch batch;
   batch.space = &space;
-  batch.members = &e.members;
+  batch.truth = &truth;
   batch.pool = &e.pool;
   batch.tie_epsilon_ms = 0.5;
   batch.query_base = 7;
