@@ -381,8 +381,12 @@ void BenchBuildingBlocks(np::bench::Reporter& reporter, bool quick) {
 // scheme uses: a pivot probed against a batch of candidates, pivot
 // second (Latency(candidate, pivot)). "bare" calls the backend
 // directly; the channel setups go through a ProbeChannel composed the
-// way the engines compose it. Wall-clock numbers: recorded as phases
-// (ops = probes) and derived probe_path_ns_*, never gated.
+// way the engines compose it. Each sweep also runs batched, one
+// LatencyMany per pivot on a fresh space of the same setup (the
+// "_many" phases, which must measure the same sum), and each channel
+// sweep runs a second time on the same channel ("_warm": every pair
+// already tracked). Wall-clock numbers: recorded as phases (ops =
+// probes) and derived probe_path_ns_*, never gated.
 void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
   np::matrix::ClusteredConfig dense_config;
   dense_config.num_clusters = quick ? 8 : 50;
@@ -420,27 +424,60 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
   const NodeId candidates = 400;
   const double probes = static_cast<double>(pivots) * candidates;
 
+  // Pivots and candidates spread over the whole space; pivot p reads
+  // row p % rows.
+  const auto pivot_of = [](int p, int rows, NodeId n) {
+    const std::int64_t row = p % rows;
+    return static_cast<NodeId>(row * 7919 % n);
+  };
+  const auto candidate_of = [](NodeId c, int p, NodeId n) {
+    const std::int64_t scaled = static_cast<std::int64_t>(c) * 104729;
+    return static_cast<NodeId>((scaled + p) % n);
+  };
   const auto sweep = [&](const np::core::LatencySpace& space, int rows) {
-    // Pivots and candidates spread over the whole space; pivot p reads
-    // row p % rows.
     const NodeId n = space.size();
     double sink = 0.0;
     for (int p = 0; p < pivots; ++p) {
-      const auto pivot = static_cast<NodeId>(
-          (static_cast<std::int64_t>(p % rows) * 7919) % n);
+      const NodeId pivot = pivot_of(p, rows, n);
       for (NodeId c = 0; c < candidates; ++c) {
-        const auto candidate = static_cast<NodeId>(
-            (static_cast<std::int64_t>(c) * 104729 + p) % n);
-        const LatencyMs l = space.Latency(candidate, pivot);
+        const LatencyMs l = space.Latency(candidate_of(c, p, n), pivot);
         sink += l == l ? l : 0.0;  // lost probes are NaN
       }
     }
     return sink;
   };
-  const auto record = [&](const std::string& tag, double sink) {
+  const auto sweep_many = [&](const np::core::LatencySpace& space, int rows) {
+    const NodeId n = space.size();
+    std::vector<NodeId> batch(static_cast<std::size_t>(candidates));
+    std::vector<LatencyMs> out(batch.size());
+    double sink = 0.0;
+    for (int p = 0; p < pivots; ++p) {
+      for (NodeId c = 0; c < candidates; ++c) {
+        batch[static_cast<std::size_t>(c)] = candidate_of(c, p, n);
+      }
+      space.LatencyMany(batch, pivot_of(p, rows, n), out);
+      for (const LatencyMs l : out) {
+        sink += l == l ? l : 0.0;
+      }
+    }
+    return sink;
+  };
+  // Times one sweep as phase probe_path_<tag> and derives its ns/probe.
+  const auto timed = [&](const std::string& tag,
+                         const np::core::LatencySpace& space, int rows,
+                         bool batched) {
+    double sink = 0.0;
+    {
+      auto phase = reporter.Phase("probe_path_" + tag, probes);
+      sink = batched ? sweep_many(space, rows) : sweep(space, rows);
+    }
     NP_ENSURE(sink > 0.0, "probe_path sweep measured nothing");
     reporter.Derive("probe_path_ns_" + tag,
                     reporter.PhaseMs("probe_path_" + tag) * 1e6 / probes);
+    return sink;
+  };
+  const auto same_sum = [](double looped, double batched) {
+    NP_ENSURE(batched == looped, "batched probe_path sweep measured otherwise");
   };
 
   // The sparse backend cycles through half as many pivots as its row
@@ -462,12 +499,8 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
       (void)sweep(*backend, rows);
     }
     const std::string bare = std::string(backend_name) + "_bare";
-    double sink = 0.0;
-    {
-      auto phase = reporter.Phase("probe_path_" + bare, probes);
-      sink = sweep(*backend, rows);
-    }
-    record(bare, sink);
+    same_sum(timed(bare, *backend, rows, false),
+             timed(bare + "_many", *backend, rows, true));
     for (const Setup& setup : setups) {
       np::core::ProbeChannelConfig config;
       config.noise_frac = setup.noise;
@@ -477,12 +510,20 @@ void BenchProbePath(np::bench::Reporter& reporter, bool quick) {
       config.partition = setup.partition;
       config.partition_seed = 21;
       const std::string tag = std::string(backend_name) + "_" + setup.name;
-      const np::core::ProbeChannel channel(*backend, config);
-      {
-        auto phase = reporter.Phase("probe_path_" + tag, probes);
-        sink = sweep(channel.space(), rows);
+      // Cold: every pair is new to the channel's trackers. Warm: the
+      // same sweep again, so every pair hits a table already grown, as
+      // in Meridian's ring-selection rounds.
+      double cold[2];
+      double warm[2];
+      for (const bool batched : {false, true}) {
+        const std::string suffix = batched ? "_many" : "";
+        const np::core::ProbeChannel channel(*backend, config);
+        cold[batched] = timed(tag + suffix, channel.space(), rows, batched);
+        warm[batched] =
+            timed(tag + "_warm" + suffix, channel.space(), rows, batched);
       }
-      record(tag, sink);
+      same_sum(cold[0], cold[1]);
+      same_sum(warm[0], warm[1]);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -62,21 +63,22 @@ void KargerRuhlNearest::BuildImpl(const core::LatencySpace& space,
   util::ParallelFor(0, n, num_threads, [&](std::size_t i) {
     const NodeId self = ids[i];
     util::Rng mrng(util::Mix64(base ^ static_cast<std::uint64_t>(self)));
-    // Bucket the other members by the smallest ball containing them;
-    // ball `s` then contains all buckets <= s. `self` rides in the
-    // second argument so row-caching backends reuse its row.
+    // Bucket the other members, probed as one batch, by the smallest
+    // ball containing them; ball `s` then contains all buckets <= s.
+    // `self` rides in the second argument so row-caching backends reuse
+    // its row.
     std::vector<std::vector<NodeId>> balls(
         static_cast<std::size_t>(config_.num_scales));
-    for (const NodeId other : ids) {
-      if (other == self) {
-        continue;
-      }
-      const auto d = policy.Probe(space, other, self);
-      if (!d) {
+    std::vector<NodeId> others(ids.begin(), ids.end());
+    others.erase(others.begin() + static_cast<std::ptrdiff_t>(i));
+    std::vector<std::optional<LatencyMs>> measured(others.size());
+    policy.ProbeMany(space, others, self, measured);
+    for (std::size_t j = 0; j < others.size(); ++j) {
+      if (!measured[j]) {
         continue;  // unreachable at build time: simply not bucketed
       }
-      const int scale = ScaleFor(*d);
-      balls[static_cast<std::size_t>(scale)].push_back(other);
+      const int scale = ScaleFor(*measured[j]);
+      balls[static_cast<std::size_t>(scale)].push_back(others[j]);
     }
     samples_[i].resize(static_cast<std::size_t>(config_.num_scales));
     std::vector<NodeId> cumulative;
@@ -125,19 +127,27 @@ void KargerRuhlNearest::AddMember(NodeId node, util::Rng& rng) {
   const core::ProbePolicy& policy = probe_policy();
 
   // The joiner probes a bounded random subset of the overlay — enough
-  // to fill every scale in expectation, far less than a full scan.
+  // to fill every scale in expectation, far less than a full scan —
+  // probed as one batch.
   const std::size_t budget = std::min<std::size_t>(
       existing, static_cast<std::size_t>(config_.samples_per_scale) *
                     static_cast<std::size_t>(config_.num_scales));
   std::vector<std::pair<int, NodeId>> probed;  // (scale, member)
   probed.reserve(budget);
-  for (std::size_t pick : rng.Sample(existing, budget)) {
-    const NodeId other = ids[pick];
-    const auto measured = policy.Probe(*space_, other, node);
-    if (!measured) {
+  const std::vector<std::size_t> picks = rng.Sample(existing, budget);
+  std::vector<NodeId> sampled(picks.size());
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    sampled[j] = ids[picks[j]];
+  }
+  std::vector<std::optional<LatencyMs>> measured(sampled.size());
+  policy.ProbeMany(*space_, sampled, node, measured);
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    const std::size_t pick = picks[j];
+    const NodeId other = sampled[j];
+    if (!measured[j]) {
       continue;  // no handshake, no exchange in either direction
     }
-    const LatencyMs d = *measured;
+    const LatencyMs d = *measured[j];
     const int scale = ScaleFor(d);
     probed.push_back({scale, other});
 

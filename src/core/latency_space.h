@@ -8,8 +8,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 
 #include "core/probe_counter.h"
 #include "matrix/latency_matrix.h"
@@ -28,7 +32,34 @@ class LatencySpace {
 
   /// Round-trip latency in ms between two nodes; 0 for a == b.
   virtual LatencyMs Latency(NodeId a, NodeId b) const = 0;
+
+  /// Batched probe of many nodes against one pivot, the second
+  /// argument: out[i] = Latency(nodes[i], pivot). Every space returns
+  /// exactly what that loop returns, with the same side effects in the
+  /// same per-pair order; overrides only make it cheaper (a matrix reads
+  /// one row, a stateful layer counts the whole batch before drawing
+  /// it). `out` has nodes.size() slots.
+  virtual void LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                           std::span<LatencyMs> out) const {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      out[i] = Latency(nodes[i], pivot);
+    }
+  }
+
+  /// New distinct pairs this space and every layer below it can draw
+  /// before a per-pair stream (util::PairTracker) starts a new
+  /// generation; the maximum for a space with no such stream.
+  /// ProbePolicy::ProbeMany batches only below this bound.
+  virtual std::size_t PairHeadroom() const {
+    return std::numeric_limits<std::size_t>::max();
+  }
 };
+
+/// Nodes a batched layer handles per stack-buffered chunk: layers keep
+/// no member scratch, so shareable ones stay safe across threads.
+inline constexpr std::size_t kProbeChunk = 256;
+/// How far ahead a batched count pass prefetches tracker slots.
+inline constexpr std::size_t kPrefetchAhead = 16;
 
 /// Non-owning view over a LatencyMatrix. The matrix must outlive the
 /// space (the experiment runner owns both).
@@ -46,6 +77,13 @@ class MatrixSpace final : public LatencySpace {
 
   NodeId size() const override { return m_->size(); }
   LatencyMs Latency(NodeId a, NodeId b) const override { return m_->At(b, a); }
+  void LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                   std::span<LatencyMs> out) const override {
+    const LatencyMs* row = m_->RowPtr(pivot);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      out[i] = row[nodes[i]];
+    }
+  }
 
  private:
   const matrix::LatencyMatrix* m_;
@@ -79,6 +117,12 @@ class MatrixSpace final : public LatencySpace {
 /// generation boundary — not the values inside one — is what probe
 /// order can move.
 ///
+/// LatencyMany() runs a count pass (every Next() of the batch in node
+/// order, prefetching slots kPrefetchAhead nodes ahead so the table
+/// misses overlap), then one inner LatencyMany(), then a draw pass that
+/// touches no state. The tracker sees the same Next() sequence as under
+/// the per-probe loop, so the values are the same bit for bit.
+///
 /// Not thread-safe: the per-pair counters mutate under Latency().
 /// Every call site owns a private instance (one per query, or one for
 /// the serial build/maintenance path — which may live across a whole
@@ -100,10 +144,49 @@ class NoisySpace final : public LatencySpace {
 
   LatencyMs Latency(NodeId a, NodeId b) const override {
     const LatencyMs true_ms = inner_->Latency(a, b);
-    if (a == b || (jitter_frac_ <= 0.0 && floor_ms_ <= 0.0)) {
+    if (a == b || !active()) {
       return true_ms;
     }
-    util::Rng rng(tracker_.Next(a, b));
+    return Draw(true_ms, tracker_.Next(a, b));
+  }
+
+  void LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                   std::span<LatencyMs> out) const override {
+    if (!active()) {
+      inner_->LatencyMany(nodes, pivot, out);
+      return;
+    }
+    std::array<std::uint64_t, kProbeChunk> streams;
+    for (std::size_t begin = 0; begin < nodes.size(); begin += kProbeChunk) {
+      const std::size_t len = std::min(kProbeChunk, nodes.size() - begin);
+      for (std::size_t j = 0; j < len; ++j) {
+        const std::size_t i = begin + j;
+        if (i + kPrefetchAhead < nodes.size()) {
+          tracker_.Prefetch(nodes[i + kPrefetchAhead], pivot);
+        }
+        streams[j] = nodes[i] == pivot ? 0 : tracker_.Next(nodes[i], pivot);
+      }
+      inner_->LatencyMany(nodes.subspan(begin, len), pivot,
+                          out.subspan(begin, len));
+      for (std::size_t j = 0; j < len; ++j) {
+        if (nodes[begin + j] != pivot) {
+          out[begin + j] = Draw(out[begin + j], streams[j]);
+        }
+      }
+    }
+  }
+
+  std::size_t PairHeadroom() const override {
+    const std::size_t inner = inner_->PairHeadroom();
+    return active() ? std::min(tracker_.headroom(), inner) : inner;
+  }
+
+ private:
+  bool active() const { return jitter_frac_ > 0.0 || floor_ms_ > 0.0; }
+
+  /// The noisy reading of `true_ms` for one probe's stream value.
+  LatencyMs Draw(LatencyMs true_ms, std::uint64_t stream) const {
+    util::Rng rng(stream);
     double noisy = true_ms;
     if (jitter_frac_ > 0.0) {
       noisy += true_ms * rng.Gaussian(0.0, jitter_frac_);
@@ -114,7 +197,6 @@ class NoisySpace final : public LatencySpace {
     return std::max(noisy, 0.001);
   }
 
- private:
   const LatencySpace* inner_;
   double jitter_frac_;
   double floor_ms_;
@@ -151,6 +233,19 @@ class MeteredSpace final : public LatencySpace {
     }
     return inner_->Latency(a, b);
   }
+
+  void LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                   std::span<LatencyMs> out) const override {
+    probes_.fetch_add(nodes.size(), std::memory_order_relaxed);
+    if (ledger_ != nullptr) {
+      for (const NodeId node : nodes) {
+        ledger_->Record(node);
+      }
+    }
+    inner_->LatencyMany(nodes, pivot, out);
+  }
+
+  std::size_t PairHeadroom() const override { return inner_->PairHeadroom(); }
 
   std::uint64_t probes() const {
     return probes_.load(std::memory_order_relaxed);

@@ -21,6 +21,16 @@
 // full stack while a fault-free, noise-free probe reaches the backend
 // through one virtual call instead of four.
 //
+// Batched probes: every layer answers LatencyMany(nodes, pivot, out)
+// with exactly the per-probe loop's values and side effects (counted in
+// one pass, drawn in a second; loss layers forward only survivors), and
+// ProbePolicy::ProbeMany builds retries and suspicion on top. A call
+// site may batch a run of probes only when (1) its nodes are distinct,
+// (2) the probes sit next to each other in the serial program with no
+// other probe between them, and (3) — checked by ProbeMany itself — the
+// run cannot start a new tracker generation (nodes.size() <
+// space().PairHeadroom()), because retries reorder draws across pairs.
+//
 // The channel also owns the build-thread clamp: layers that keep
 // per-pair state (noise, i.i.d. loss, grey loss) are not shareable
 // across build threads, so a channel with any of them builds serially.

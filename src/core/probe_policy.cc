@@ -1,6 +1,7 @@
 #include "core/probe_policy.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/contract.h"
@@ -120,6 +121,78 @@ std::optional<LatencyMs> ProbePolicy::Probe(const LatencySpace& space,
     suspicion_->RecordProbe(node, result.has_value());
   }
   return result;
+}
+
+namespace {
+
+[[maybe_unused]] bool AllDistinct(std::span<const NodeId> nodes) {
+  std::vector<NodeId> sorted(nodes.begin(), nodes.end());
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+}  // namespace
+
+void ProbePolicy::ProbeMany(const LatencySpace& space,
+                            std::span<const NodeId> nodes, NodeId target,
+                            std::span<std::optional<LatencyMs>> out) const {
+  NP_DCHECK(out.size() == nodes.size(), "ProbeMany needs one slot per node");
+  NP_DCHECK(AllDistinct(nodes), "ProbeMany nodes must be distinct");
+  if (nodes.size() >= space.PairHeadroom()) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      out[i] = Probe(space, nodes[i], target);
+    }
+    return;
+  }
+  std::uint64_t skips = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t retries = 0;
+  std::array<NodeId, kProbeChunk> pending;
+  std::array<std::size_t, kProbeChunk> slot;
+  std::array<LatencyMs, kProbeChunk> measured;
+  for (std::size_t begin = 0; begin < nodes.size(); begin += kProbeChunk) {
+    const std::size_t end = std::min(begin + kProbeChunk, nodes.size());
+    std::size_t open = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      out[i] = std::nullopt;
+      if (suspicion_ != nullptr && suspicion_->Quarantined(nodes[i])) {
+        ++skips;
+        continue;
+      }
+      pending[open] = nodes[i];
+      slot[open++] = i;
+    }
+    for (int attempt = 0; attempt < config_.max_attempts && open > 0;
+         ++attempt) {
+      space.LatencyMany(std::span(pending.data(), open), target,
+                        std::span(measured.data(), open));
+      std::size_t still = 0;
+      for (std::size_t m = 0; m < open; ++m) {
+        if (!matrix::ProbeLost(measured[m])) {
+          out[slot[m]] = measured[m];
+          continue;
+        }
+        ++failed;
+        if (attempt + 1 < config_.max_attempts) {
+          ++retries;
+        }
+        pending[still] = pending[m];
+        slot[still++] = slot[m];
+      }
+      open = still;
+    }
+    // Skipped nodes are quarantined, which RecordProbe ignores.
+    if (suspicion_ != nullptr && suspicion_->recording()) {
+      for (std::size_t i = begin; i < end; ++i) {
+        suspicion_->RecordProbe(nodes[i], out[i].has_value());
+      }
+    }
+  }
+  if (counter_ != nullptr) {
+    counter_->AddSuspicionSkips(skips);
+    counter_->AddFailedProbes(failed);
+    counter_->AddRetries(retries);
+  }
 }
 
 std::optional<LatencyMs> ProbePolicy::ProbationProbe(const LatencySpace& space,

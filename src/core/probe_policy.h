@@ -27,6 +27,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -149,6 +150,20 @@ class ProbePolicy {
   /// — each outcome feeds its strike counts.
   std::optional<LatencyMs> Probe(const LatencySpace& space, NodeId node,
                                  NodeId target) const;
+
+  /// out[i] = Probe(space, nodes[i], target) for a run of probes that
+  /// sit next to each other in the serial program, with every value,
+  /// counter, ledger entry and tracker state left as that loop leaves
+  /// them. `nodes` must be distinct. First attempts go out as one
+  /// LatencyMany() batch and the still-lost nodes retry in further
+  /// batches; outcomes are then recorded in node order. Retries reorder
+  /// draws across pairs but never within one, which keeps every value
+  /// only while no tracker below starts a new generation, so the batch
+  /// is taken only when nodes.size() < space.PairHeadroom(); otherwise
+  /// this is the per-node loop.
+  void ProbeMany(const LatencySpace& space, std::span<const NodeId> nodes,
+                 NodeId target,
+                 std::span<std::optional<LatencyMs>> out) const;
 
   /// Probation variant: bypasses the quarantine gate (that is the
   /// point) and never records strikes; charges probation_probes on top

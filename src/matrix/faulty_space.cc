@@ -35,4 +35,36 @@ LatencyMs FaultySpace::Latency(NodeId a, NodeId b) const {
   return inner_->Latency(a, b);
 }
 
+void FaultySpace::LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                              std::span<LatencyMs> out) const {
+  const bool crashes = crashed_ != nullptr && !crashed_->empty();
+  if (!crashes && loss_rate_ <= 0.0) {
+    inner_->LatencyMany(nodes, pivot, out);
+    return;
+  }
+  if (crashes && crashed_->count(pivot) != 0) {
+    // A dead pivot answers nothing and, as in Latency(), draws no loss.
+    std::fill(out.begin(), out.end(), kLostProbeMs);
+    return;
+  }
+  LatencyManySurvivors(*inner_, nodes, pivot, out, [&](std::size_t i) {
+    const NodeId a = nodes[i];
+    if (crashes && crashed_->count(a) != 0) {
+      return true;
+    }
+    if (loss_rate_ <= 0.0 || a == pivot) {
+      return false;
+    }
+    if (i + core::kPrefetchAhead < nodes.size()) {
+      attempts_.Prefetch(nodes[i + core::kPrefetchAhead], pivot);
+    }
+    return util::MixToUnit(attempts_.Next(a, pivot)) < loss_rate_;
+  });
+}
+
+std::size_t FaultySpace::PairHeadroom() const {
+  const std::size_t inner = inner_->PairHeadroom();
+  return loss_rate_ > 0.0 ? std::min(attempts_.headroom(), inner) : inner;
+}
+
 }  // namespace np::matrix

@@ -22,6 +22,12 @@
 // advances k and sees fresh randomness — which is exactly what gives
 // ProbePolicy retries a chance to get through.
 //
+// LatencyMany() checks crashes and counts loss for the whole batch in
+// node order (prefetching tracker slots ahead), then sends only the
+// survivors to the inner layer in one compacted call per chunk, so the
+// inner layers see and bill exactly the probes the per-probe loop would
+// forward.
+//
 // Thread-safety: with loss_rate > 0 the per-pair attempt tracker
 // mutates under Latency(), so such instances must be call-site private
 // (one per query / one serial maintenance instance), like NoisySpace.
@@ -31,9 +37,12 @@
 // serial churn windows).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <unordered_set>
 
 #include "core/latency_space.h"
@@ -51,6 +60,39 @@ inline constexpr LatencyMs kLostProbeMs =
 /// True iff a measurement is the lost-probe sentinel.
 inline bool ProbeLost(LatencyMs v) { return std::isnan(v); }
 
+/// Batched loss filter shared by the loss layers' LatencyMany(). In node
+/// order, lost(i) decides whether the probe of nodes[i] is lost (drawing
+/// from the layer's tracker if it must); lost probes read kLostProbeMs
+/// and the survivors reach `inner` in one compacted LatencyMany() per
+/// chunk. Buffers live on the stack, so a stateless filter stays
+/// shareable across threads.
+template <typename Lost>
+void LatencyManySurvivors(const core::LatencySpace& inner,
+                          std::span<const NodeId> nodes, NodeId pivot,
+                          std::span<LatencyMs> out, Lost lost) {
+  std::array<NodeId, core::kProbeChunk> kept;
+  std::array<std::size_t, core::kProbeChunk> slot;
+  std::array<LatencyMs, core::kProbeChunk> measured;
+  for (std::size_t begin = 0; begin < nodes.size();
+       begin += core::kProbeChunk) {
+    const std::size_t len = std::min(core::kProbeChunk, nodes.size() - begin);
+    std::size_t k = 0;
+    for (std::size_t i = begin; i < begin + len; ++i) {
+      if (lost(i)) {
+        out[i] = kLostProbeMs;
+      } else {
+        kept[k] = nodes[i];
+        slot[k++] = i;
+      }
+    }
+    inner.LatencyMany(std::span(kept.data(), k), pivot,
+                      std::span(measured.data(), k));
+    for (std::size_t m = 0; m < k; ++m) {
+      out[slot[m]] = measured[m];
+    }
+  }
+}
+
 class FaultySpace final : public core::LatencySpace {
  public:
   /// `crashed` is a non-owning, nullable view of the dead-peer set; the
@@ -63,6 +105,9 @@ class FaultySpace final : public core::LatencySpace {
   NodeId size() const override { return inner_->size(); }
 
   LatencyMs Latency(NodeId a, NodeId b) const override;
+  void LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                   std::span<LatencyMs> out) const override;
+  std::size_t PairHeadroom() const override;
 
   /// Re-points the crashed-set view (nullptr detaches). Used by the
   /// scenario engine, which constructs the space stack before the churn

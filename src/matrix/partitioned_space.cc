@@ -1,5 +1,7 @@
 #include "matrix/partitioned_space.h"
 
+#include <algorithm>
+
 #include "matrix/faulty_space.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -100,6 +102,42 @@ LatencyMs PartitionedSpace::Latency(NodeId a, NodeId b) const {
     }
   }
   return inner_->Latency(a, b);
+}
+
+void PartitionedSpace::LatencyMany(std::span<const NodeId> nodes,
+                                   NodeId pivot,
+                                   std::span<LatencyMs> out) const {
+  const bool grey = schedule_->GreyActive();
+  const bool pivot_grey = grey && schedule_->IsGrey(pivot);
+  LatencyManySurvivors(*inner_, nodes, pivot, out, [&](std::size_t i) {
+    const NodeId a = nodes[i];
+    if (a == pivot) {
+      return false;
+    }
+    if (active_ != nullptr &&
+        ComponentOf(*active_, a) != ComponentOf(*active_, pivot)) {
+      return true;
+    }
+    if (schedule_->AsymmetricLost(a, pivot)) {
+      return true;
+    }
+    if (!grey || !(pivot_grey || schedule_->IsGrey(a))) {
+      return false;
+    }
+    const std::size_t ahead = i + core::kPrefetchAhead;
+    if (ahead < nodes.size() &&
+        (pivot_grey || schedule_->IsGrey(nodes[ahead]))) {
+      grey_attempts_.Prefetch(nodes[ahead], pivot);
+    }
+    return util::MixToUnit(grey_attempts_.Next(a, pivot)) <
+           schedule_->grey_loss_rate;
+  });
+}
+
+std::size_t PartitionedSpace::PairHeadroom() const {
+  const std::size_t inner = inner_->PairHeadroom();
+  return schedule_->GreyActive() ? std::min(grey_attempts_.headroom(), inner)
+                                 : inner;
 }
 
 }  // namespace np::matrix

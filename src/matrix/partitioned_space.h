@@ -26,6 +26,10 @@
 //      util::PairTracker), so retries can get through —
 //      that is what makes it "grey" rather than dead.
 //
+// LatencyMany() filters the batch the way FaultySpace's does (see
+// matrix::LatencyManySurvivors): window, one-way and grey checks per
+// node in node order, then one compacted call for the survivors.
+//
 // Thread-safety mirrors FaultySpace: with grey failure active the
 // per-pair attempt tracker mutates under Latency(), so instances must
 // be call-site private (one per query, one serial maintenance
@@ -35,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/latency_space.h"
@@ -108,6 +113,9 @@ class PartitionedSpace final : public core::LatencySpace {
   NodeId size() const override { return inner_->size(); }
 
   LatencyMs Latency(NodeId a, NodeId b) const override;
+  void LatencyMany(std::span<const NodeId> nodes, NodeId pivot,
+                   std::span<LatencyMs> out) const override;
+  std::size_t PairHeadroom() const override;
 
   /// Advances the schedule clock. Serial-only: the engines call this at
   /// each epoch's churn-window start, never while query threads run.

@@ -35,8 +35,14 @@ int MeridianOverlay::RingIndexFor(LatencyMs latency_ms) const {
   return std::min(ring, config_.num_rings - 1);
 }
 
+void MeridianOverlay::ProbeNodes(NodeId pivot, ProbeScratch& scratch) const {
+  scratch.measured.resize(scratch.nodes.size());
+  probe_policy().ProbeMany(*space_, scratch.nodes, pivot, scratch.measured);
+}
+
 std::vector<RingEntry> MeridianOverlay::SelectRingMembers(
-    std::vector<RingEntry> candidates, util::Rng& rng) const {
+    std::vector<RingEntry> candidates, util::Rng& rng,
+    ProbeScratch& scratch) const {
   const auto k = static_cast<std::size_t>(config_.ring_size);
   if (candidates.size() <= k) {
     return candidates;
@@ -57,10 +63,11 @@ std::vector<RingEntry> MeridianOverlay::SelectRingMembers(
       const bool use_min = config_.selection == RingSelectionPolicy::kMaxMin;
       std::vector<RingEntry> selected;
       selected.reserve(k);
-      std::vector<bool> taken(candidates.size(), false);
-      std::vector<double> score(
-          candidates.size(),
-          use_min ? std::numeric_limits<double>::infinity() : 0.0);
+      std::vector<bool>& taken = scratch.taken;
+      std::vector<double>& score = scratch.score;
+      taken.assign(candidates.size(), false);
+      score.assign(candidates.size(),
+                   use_min ? std::numeric_limits<double>::infinity() : 0.0);
       std::size_t seed = rng.Index(candidates.size());
       while (selected.size() < k) {
         taken[seed] = true;
@@ -68,20 +75,25 @@ std::vector<RingEntry> MeridianOverlay::SelectRingMembers(
         if (selected.size() == k) {
           break;
         }
-        const NodeId just_added = candidates[seed].member;
-        const core::ProbePolicy& policy = probe_policy();
+        // The round's probes are adjacent in the serial loop, so they
+        // go out as one batch against the member just added.
+        scratch.open.clear();
+        scratch.nodes.clear();
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          if (!taken[i]) {
+            scratch.open.push_back(i);
+            scratch.nodes.push_back(candidates[i].member);
+          }
+        }
+        ProbeNodes(candidates[seed].member, scratch);
         double best_score = -1.0;
         std::size_t best_index = candidates.size();
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (taken[i]) {
-            continue;
-          }
+        for (std::size_t j = 0; j < scratch.open.size(); ++j) {
+          const std::size_t i = scratch.open[j];
           // A lost pairwise probe leaves score[i] at its previous
           // (still-valid) value — the candidate just misses this
           // round's diversity update.
-          const auto measured =
-              policy.Probe(*space_, candidates[i].member, just_added);
-          if (measured) {
+          if (const auto& measured = scratch.measured[j]) {
             const double d = *measured;
             score[i] = use_min ? std::min(score[i], d) : score[i] + d;
           }
@@ -120,7 +132,7 @@ void MeridianOverlay::BuildImpl(const core::LatencySpace& space,
   members_.Reset(std::move(members));
   rings_.assign(members_.size(), {});
   if (config_.full_knowledge) {
-    BuildFullKnowledge(space, rng, num_threads);
+    BuildFullKnowledge(rng, num_threads);
   } else {
     // Gossip rounds exchange state between members and are inherently
     // order-dependent; they run serially for any thread budget.
@@ -144,35 +156,36 @@ void MeridianOverlay::BuildImpl(const core::LatencySpace& space,
   }
 }
 
-void MeridianOverlay::BuildFullKnowledge(const core::LatencySpace& space,
-                                         util::Rng& rng, int num_threads) {
+void MeridianOverlay::BuildFullKnowledge(util::Rng& rng, int num_threads) {
   const std::vector<NodeId>& ids = members_.members();
   // One base draw, then a private stream per member keyed by its node
   // id: iteration i touches only rings_[i], so any thread count
   // produces the serial result bit for bit.
   const std::uint64_t base = rng();
-  const core::ProbePolicy& policy = probe_policy();
   util::ParallelFor(0, ids.size(), num_threads, [&](std::size_t i) {
     const NodeId owner = ids[i];
     util::Rng mrng(util::Mix64(base ^ static_cast<std::uint64_t>(owner)));
     std::vector<std::vector<RingEntry>> buckets(
         static_cast<std::size_t>(config_.num_rings));
-    // The owner rides second so row-caching backends reuse its row.
-    for (const NodeId other : ids) {
-      if (other == owner) {
-        continue;
-      }
-      const auto measured = policy.Probe(space, other, owner);
+    // Every other member in one batch; the owner rides second so
+    // row-caching backends reuse its row.
+    ProbeScratch scratch;
+    scratch.nodes.assign(ids.begin(), ids.end());
+    scratch.nodes.erase(scratch.nodes.begin() +
+                        static_cast<std::ptrdiff_t>(i));
+    ProbeNodes(owner, scratch);
+    for (std::size_t j = 0; j < scratch.nodes.size(); ++j) {
+      const auto& measured = scratch.measured[j];
       if (!measured) {
         continue;  // unreachable during build: not ringed
       }
       const LatencyMs d = *measured;
       buckets[static_cast<std::size_t>(RingIndexFor(d))].push_back(
-          RingEntry{other, d});
+          RingEntry{scratch.nodes[j], d});
     }
     rings_[i].resize(buckets.size());
     for (std::size_t r = 0; r < buckets.size(); ++r) {
-      rings_[i][r] = SelectRingMembers(std::move(buckets[r]), mrng);
+      rings_[i][r] = SelectRingMembers(std::move(buckets[r]), mrng, scratch);
     }
   });
 }
@@ -194,6 +207,7 @@ void MeridianOverlay::BuildByGossip(const core::LatencySpace& space,
   std::vector<std::vector<bool>> knows(n, std::vector<bool>(n, false));
 
   const core::ProbePolicy& policy = probe_policy();
+  ProbeScratch scratch;
   const auto learn = [&](std::size_t owner, std::size_t other) {
     if (owner == other || knows[owner][other]) {
       return;
@@ -242,7 +256,7 @@ void MeridianOverlay::BuildByGossip(const core::LatencySpace& space,
       for (auto& ring : buckets[i]) {
         if (ring.size() >
             static_cast<std::size_t>(config_.ring_size)) {
-          ring = SelectRingMembers(std::move(ring), rng);
+          ring = SelectRingMembers(std::move(ring), rng, scratch);
         }
       }
     }
@@ -251,7 +265,8 @@ void MeridianOverlay::BuildByGossip(const core::LatencySpace& space,
   for (std::size_t i = 0; i < n; ++i) {
     rings_[i].resize(buckets[i].size());
     for (std::size_t r = 0; r < buckets[i].size(); ++r) {
-      rings_[i][r] = SelectRingMembers(std::move(buckets[i][r]), rng);
+      rings_[i][r] =
+          SelectRingMembers(std::move(buckets[i][r]), rng, scratch);
     }
   }
 }
@@ -293,20 +308,27 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
     }
   }
 
-  // Fill the joiner's rings from the learned candidates. A candidate
-  // whose handshake probe is lost is simply not learned.
+  // Fill the joiner's rings from the learned candidates, probed as one
+  // batch. A candidate whose handshake probe is lost is simply not
+  // learned.
   std::vector<std::vector<RingEntry>> buckets(
       static_cast<std::size_t>(config_.num_rings));
+  ProbeScratch scratch;
   for (std::size_t other : candidates) {
-    const auto measured = policy.Probe(*space_, ids[other], node);
+    scratch.nodes.push_back(ids[other]);
+  }
+  ProbeNodes(node, scratch);
+  for (std::size_t j = 0; j < scratch.nodes.size(); ++j) {
+    const auto& measured = scratch.measured[j];
     if (!measured) {
       continue;
     }
     buckets[static_cast<std::size_t>(RingIndexFor(*measured))].push_back(
-        RingEntry{ids[other], *measured});
+        RingEntry{scratch.nodes[j], *measured});
   }
   for (std::size_t r = 0; r < buckets.size(); ++r) {
-    rings_[position][r] = SelectRingMembers(std::move(buckets[r]), rng);
+    rings_[position][r] =
+        SelectRingMembers(std::move(buckets[r]), rng, scratch);
     for (const RingEntry& entry : rings_[position][r]) {
       const std::size_t entry_pos = members_.PositionOf(entry.member);
       occ_[entry_pos].push_back(PackOccurrence(node, r));
@@ -316,7 +338,10 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
 
   // The contacts (and their ring members) learn about the joiner too
   // (a separate handshake in this direction, billed separately — and
-  // lost independently).
+  // lost independently). Probed one at a time, not batched: a ring
+  // reselection between two handshakes can probe the joiner against a
+  // candidate whose own handshake comes later, and a batch would move
+  // that handshake's draw of the pair ahead of the reselection's.
   for (std::size_t other : candidates) {
     const auto measured = policy.Probe(*space_, ids[other], node);
     if (!measured) {
@@ -327,7 +352,7 @@ void MeridianOverlay::AddMember(NodeId node, util::Rng& rng) {
     auto& ring = rings_[other][r];
     ring.push_back(RingEntry{node, d});
     if (ring.size() > static_cast<std::size_t>(config_.ring_size)) {
-      ring = SelectRingMembers(std::move(ring), rng);
+      ring = SelectRingMembers(std::move(ring), rng, scratch);
     }
     // Recorded whether or not reselection kept the joiner: the purge
     // re-checks the ring, so an unkept entry is just stale.

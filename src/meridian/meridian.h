@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,9 +162,26 @@ class MeridianOverlay final : public core::NearestPeerAlgorithm {
   std::size_t OccurrenceEntries(NodeId member) const;
 
  private:
-  /// Reduces `candidates` to at most `ring_size` per the policy.
+  /// Buffers SelectRingMembers and the batched probe passes reuse
+  /// across rings, rounds and (in the build) one owner's whole pass.
+  struct ProbeScratch {
+    std::vector<NodeId> nodes;
+    std::vector<std::optional<LatencyMs>> measured;
+    std::vector<std::size_t> open;
+    std::vector<bool> taken;
+    std::vector<double> score;
+  };
+
+  /// Reduces `candidates` to at most `ring_size` per the policy. Each
+  /// greedy round probes every open candidate against the member just
+  /// added as one ProbePolicy::ProbeMany batch.
   std::vector<RingEntry> SelectRingMembers(std::vector<RingEntry> candidates,
-                                           util::Rng& rng) const;
+                                           util::Rng& rng,
+                                           ProbeScratch& scratch) const;
+
+  /// Probes scratch.nodes against `pivot` as one batch into
+  /// scratch.measured.
+  void ProbeNodes(NodeId pivot, ProbeScratch& scratch) const;
 
   /// Shared construction path (Build = serial reference, num_threads
   /// = 1).
@@ -171,8 +189,7 @@ class MeridianOverlay final : public core::NearestPeerAlgorithm {
                  util::Rng& rng, int num_threads);
 
   /// Converged build: every member considered for every ring.
-  void BuildFullKnowledge(const core::LatencySpace& space, util::Rng& rng,
-                          int num_threads);
+  void BuildFullKnowledge(util::Rng& rng, int num_threads);
 
   /// Gossip build: bootstrap contacts + ring-exchange rounds.
   void BuildByGossip(const core::LatencySpace& space, util::Rng& rng);

@@ -78,8 +78,22 @@ class PairTracker {
     return Mix64(hashed ^ PostIncrement(hashed));
   }
 
+  /// Hints the CPU to fetch the home slot of {a, b} ahead of its Next().
+  /// Changes no state; a growth or flush before that Next() only makes
+  /// the hint useless.
+  void Prefetch(std::int64_t a, std::int64_t b) const {
+    const std::size_t capacity = slots_.size();
+    if (capacity != 0) {
+      __builtin_prefetch(
+          slots_.begin() + Home(Mix64(seed_ ^ PairKey(a, b)), capacity), 1);
+    }
+  }
+
   /// Distinct pairs tracked in the current generation.
   std::size_t size() const { return size_; }
+  /// New pairs the current generation takes before it is full: a run
+  /// of draws over fewer than this many new pairs cannot flush.
+  std::size_t headroom() const { return kMaxTrackedPairs - size_; }
   /// Slots allocated (0 before the first draw of a generation).
   std::size_t capacity() const { return slots_.size(); }
   /// Seed of the current generation.
